@@ -22,9 +22,18 @@
 //! returned in [`CmrStats`] expose the measured analogue (Dijkstra calls and
 //! edge relaxations) so the model and the implementation can be compared
 //! directly, which is exactly the comparison of Fig. 9(a).
+//!
+//! The hot loop runs on the hardware's [`Csr`] adjacency, built once per
+//! [`find_embedding`] call and shared by every try.  Each try owns the
+//! buffers its searches and chain trims reuse, and each vertex embedding
+//! fills one qubit entry-cost table for all of its searches, so the loop
+//! allocates nothing once those buffers have grown.  The searches are
+//! [`multi_source_dijkstra_csr`], tested bit for bit against the
+//! closure-based oracle in [`crate::dijkstra`].
 
-use crate::dijkstra::{multi_source_dijkstra, ShortestPaths};
+use crate::dijkstra::{multi_source_dijkstra_csr, Frontier, ShortestPaths};
 use crate::types::{EmbedError, Embedding};
+use chimera_graph::csr::Csr;
 use chimera_graph::Graph;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -79,7 +88,7 @@ pub struct CmrStats {
     pub dijkstra_calls: u64,
     /// Total edge relaxations across all Dijkstra invocations.
     pub edge_relaxations: u64,
-    /// Improvement passes executed in the successful try (or the last try).
+    /// Most improvement passes executed by any one try.
     pub passes_used: usize,
     /// Number of restarts attempted.
     pub tries_used: usize,
@@ -131,6 +140,12 @@ pub fn find_embedding(
         });
     }
 
+    let csr = Csr::from_graph(hardware);
+    let mut usable_mask = vec![false; hardware.vertex_count()];
+    for &q in &usable {
+        usable_mask[q] = true;
+    }
+
     let tries = config.tries.max(1);
     let run_try = |t: usize| -> (Option<Embedding>, CmrStats) {
         let mut stats = CmrStats {
@@ -139,8 +154,8 @@ pub fn find_embedding(
         };
         let embedding = single_try(
             input,
-            hardware,
-            &usable,
+            &csr,
+            &usable_mask,
             config,
             config.seed.wrapping_add(t as u64),
             &mut stats,
@@ -179,11 +194,42 @@ pub fn find_embedding(
     }
 }
 
+/// Buffers one try reuses for every vertex it embeds.
+struct Scratch {
+    /// Entry cost of every qubit while one vertex is embedded.
+    weight: Vec<f64>,
+    /// Already-embedded logical neighbors of that vertex.
+    neighbors: Vec<usize>,
+    /// One search per entry of `neighbors`, in the same order.
+    searches: Vec<ShortestPaths>,
+    frontier: Frontier,
+    /// Qubits of the chain being trimmed, minus the one under test.
+    member: Vec<bool>,
+    /// Qubits reached by the trim's connectivity walk.
+    seen: Vec<bool>,
+    /// The walk's visit order, which is also its work list.
+    visited: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(nh: usize) -> Self {
+        Self {
+            weight: Vec::with_capacity(nh),
+            neighbors: Vec::new(),
+            searches: Vec::new(),
+            frontier: Frontier::default(),
+            member: vec![false; nh],
+            seen: vec![false; nh],
+            visited: Vec::new(),
+        }
+    }
+}
+
 /// One randomized construction + improvement attempt.
 fn single_try(
     input: &Graph,
-    hardware: &Graph,
-    usable: &[usize],
+    hardware: &Csr,
+    usable: &[bool],
     config: &CmrConfig,
     seed: u64,
     stats: &mut CmrStats,
@@ -191,13 +237,7 @@ fn single_try(
     let n = input.vertex_count();
     let nh = hardware.vertex_count();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let usable_set: Vec<bool> = {
-        let mut mask = vec![false; nh];
-        for &q in usable {
-            mask[q] = true;
-        }
-        mask
-    };
+    let mut scratch = Scratch::new(nh);
 
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut rng);
@@ -211,12 +251,13 @@ fn single_try(
             x,
             input,
             hardware,
-            &usable_set,
+            usable,
             config,
             &mut rng,
             &mut chains,
             &mut usage,
             stats,
+            &mut scratch,
         );
     }
 
@@ -238,12 +279,13 @@ fn single_try(
                 x,
                 input,
                 hardware,
-                &usable_set,
+                usable,
                 config,
                 &mut rng,
                 &mut chains,
                 &mut usage,
                 stats,
+                &mut scratch,
             );
         }
         let overlap_free = usage.iter().all(|&u| u <= 1);
@@ -295,27 +337,35 @@ fn add_chain(chain: &[usize], usage: &mut [u32]) {
     }
 }
 
-/// Grow the vertex model for logical vertex `x` given the current chains of
-/// all other vertices.
+/// Grow the vertex model for logical vertex `x`, whose chain is empty,
+/// given the current chains of all other vertices.
 #[allow(clippy::too_many_arguments)]
 fn embed_vertex(
     x: usize,
     input: &Graph,
-    hardware: &Graph,
+    hardware: &Csr,
     usable: &[bool],
     config: &CmrConfig,
     rng: &mut ChaCha8Rng,
     chains: &mut [Vec<usize>],
     usage: &mut [u32],
     stats: &mut CmrStats,
+    scratch: &mut Scratch,
 ) {
     let nh = hardware.vertex_count();
-    let embedded_neighbors: Vec<usize> = input
-        .neighbors(x)
-        .filter(|&y| !chains[y].is_empty())
-        .collect();
+    let Scratch {
+        weight,
+        neighbors,
+        searches,
+        frontier,
+        member,
+        seen,
+        visited,
+    } = scratch;
+    neighbors.clear();
+    neighbors.extend(input.neighbors(x).filter(|&y| !chains[y].is_empty()));
 
-    if embedded_neighbors.is_empty() {
+    if neighbors.is_empty() {
         // No constraints yet: take the least-used usable qubit, breaking ties
         // randomly.
         let min_usage = (0..nh)
@@ -323,49 +373,50 @@ fn embed_vertex(
             .map(|q| usage[q])
             .min()
             .unwrap_or(0);
-        let candidates: Vec<usize> = (0..nh)
-            .filter(|&q| usable[q] && usage[q] == min_usage)
-            .collect();
-        let choice = candidates[rng.gen_range(0..candidates.len())];
-        chains[x] = vec![choice];
+        let is_candidate = |q: &usize| usable[*q] && usage[*q] == min_usage;
+        let pick = rng.gen_range(0..(0..nh).filter(is_candidate).count());
+        let choice = (0..nh)
+            .filter(is_candidate)
+            .nth(pick)
+            .expect("pick is below the candidate count");
+        chains[x].push(choice);
         add_chain(&chains[x], usage);
         return;
     }
 
+    // Usage is fixed while x's searches run, so one table of qubit entry
+    // costs serves all of them.
+    weight.clear();
+    weight.extend((0..nh).map(|q| {
+        if usable[q] {
+            config.overlap_penalty_base.powi(usage[q] as i32)
+        } else {
+            f64::INFINITY
+        }
+    }));
+
     // One weighted Dijkstra per embedded neighbor, rooted at that neighbor's
     // chain.
-    let weight_of = |q: usize, usage: &[u32]| -> f64 {
-        if !usable[q] {
-            f64::INFINITY
-        } else {
-            config.overlap_penalty_base.powi(usage[q] as i32)
-        }
-    };
-    let searches: Vec<(usize, ShortestPaths)> = embedded_neighbors
-        .iter()
-        .map(|&y| {
-            let sp = multi_source_dijkstra(
-                nh,
-                &chains[y],
-                |v| hardware.neighbors(v).collect::<Vec<_>>(),
-                |v| weight_of(v, usage),
-            );
-            stats.dijkstra_calls += 1;
-            stats.edge_relaxations += sp.relaxations;
-            (y, sp)
-        })
-        .collect();
+    if searches.len() < neighbors.len() {
+        searches.resize_with(neighbors.len(), ShortestPaths::default);
+    }
+    let searches = &mut searches[..neighbors.len()];
+    for (&y, sp) in neighbors.iter().zip(searches.iter_mut()) {
+        multi_source_dijkstra_csr(hardware, &chains[y], weight, frontier, sp);
+        stats.dijkstra_calls += 1;
+        stats.edge_relaxations += sp.relaxations;
+    }
 
     // Root selection: cheapest total distance to all neighbor chains.
     let mut best_root = None;
     let mut best_cost = f64::INFINITY;
-    for (q, &q_usable) in usable.iter().enumerate().take(nh) {
+    for (q, &q_usable) in usable.iter().enumerate() {
         if !q_usable {
             continue;
         }
-        let mut total = weight_of(q, usage);
+        let mut total = weight[q];
         let mut reachable = true;
-        for (_, sp) in &searches {
+        for sp in searches.iter() {
             if sp.cost[q].is_finite() {
                 total += sp.cost[q];
             } else {
@@ -382,20 +433,24 @@ fn embed_vertex(
         // Hardware is disconnected relative to the neighbor chains; fall back
         // to an arbitrary usable qubit so the try can fail gracefully later.
         let fallback = (0..nh).find(|&q| usable[q]).unwrap_or(0);
-        chains[x] = vec![fallback];
+        chains[x].push(fallback);
         add_chain(&chains[x], usage);
         return;
     };
 
     // Absorb the connecting paths (excluding the neighbor-chain endpoints)
-    // into x's chain.
-    let mut chain = vec![root];
-    for (y, sp) in &searches {
-        if let Some(path) = sp.path_to(root) {
-            for &q in &path {
-                if !chains[*y].contains(&q) && !chain.contains(&q) {
-                    chain.push(q);
-                }
+    // into x's chain, walking each search's predecessors back from the root.
+    let mut chain = std::mem::take(&mut chains[x]);
+    chain.push(root);
+    for (&y, sp) in neighbors.iter().zip(searches.iter()) {
+        let mut q = root;
+        loop {
+            if !chains[y].contains(&q) && !chain.contains(&q) {
+                chain.push(q);
+            }
+            q = sp.predecessor[q];
+            if q == usize::MAX {
+                break;
             }
         }
     }
@@ -404,22 +459,30 @@ fn embed_vertex(
     // Trim qubits that are not needed for connectivity to any neighbor chain
     // or for keeping the chain itself connected; unions of shortest paths
     // routinely contain such redundant branches.
-    trim_chain(&mut chain, hardware, &embedded_neighbors, chains);
+    trim_chain(
+        &mut chain, hardware, neighbors, chains, member, seen, visited,
+    );
     chains[x] = chain;
     add_chain(&chains[x], usage);
 }
 
-/// Remove redundant qubits from a freshly built chain.
+/// Remove redundant qubits from a freshly built, sorted chain.
 ///
 /// A qubit can be dropped when (a) the remaining chain is still connected in
 /// the hardware graph and (b) every embedded logical neighbor still has at
 /// least one hardware coupler into the remaining chain.  Leaves are examined
 /// repeatedly until no further removal is possible.
+///
+/// `member`, `seen` and `visited` are scratch: the masks are all `false` on
+/// entry and are left that way.
 fn trim_chain(
     chain: &mut Vec<usize>,
-    hardware: &Graph,
+    hardware: &Csr,
     embedded_neighbors: &[usize],
     chains: &[Vec<usize>],
+    member: &mut [bool],
+    seen: &mut [bool],
+    visited: &mut Vec<usize>,
 ) {
     if chain.len() <= 1 {
         return;
@@ -427,8 +490,12 @@ fn trim_chain(
     let touches_chain = |q: usize, other: &[usize]| -> bool {
         hardware
             .neighbors(q)
-            .any(|n| other.binary_search(&n).is_ok())
+            .iter()
+            .any(|&n| other.binary_search(&(n as usize)).is_ok())
     };
+    for &q in chain.iter() {
+        member[q] = true;
+    }
     loop {
         let mut removed = false;
         let mut idx = 0;
@@ -437,16 +504,19 @@ fn trim_chain(
                 break;
             }
             let q = chain[idx];
-            let mut candidate: Vec<usize> = chain.iter().copied().filter(|&c| c != q).collect();
-            candidate.sort_unstable();
-            let still_connected = chimera_graph::metrics::is_connected_subset(hardware, &candidate);
-            let still_covers = embedded_neighbors
-                .iter()
-                .all(|&y| candidate.iter().any(|&c| touches_chain(c, &chains[y])));
+            member[q] = false;
+            let still_connected =
+                connected_members(hardware, chain, chain.len() - 1, member, seen, visited);
+            let still_covers = embedded_neighbors.iter().all(|&y| {
+                chain
+                    .iter()
+                    .any(|&c| member[c] && touches_chain(c, &chains[y]))
+            });
             if still_connected && still_covers {
                 chain.remove(idx);
                 removed = true;
             } else {
+                member[q] = true;
                 idx += 1;
             }
         }
@@ -454,6 +524,44 @@ fn trim_chain(
             break;
         }
     }
+    for &q in chain.iter() {
+        member[q] = false;
+    }
+}
+
+/// Whether the `count` qubits of `chain` marked in `member` form one
+/// connected subgraph of `hardware`.  Leaves `seen` all `false`.
+fn connected_members(
+    hardware: &Csr,
+    chain: &[usize],
+    count: usize,
+    member: &[bool],
+    seen: &mut [bool],
+    visited: &mut Vec<usize>,
+) -> bool {
+    let start = *chain
+        .iter()
+        .find(|&&q| member[q])
+        .expect("at least one chain qubit is marked");
+    visited.clear();
+    visited.push(start);
+    seen[start] = true;
+    let mut next = 0;
+    while next < visited.len() {
+        let v = visited[next];
+        next += 1;
+        for &u in hardware.neighbors(v) {
+            let u = u as usize;
+            if member[u] && !seen[u] {
+                seen[u] = true;
+                visited.push(u);
+            }
+        }
+    }
+    for &v in visited.iter() {
+        seen[v] = false;
+    }
+    visited.len() == count
 }
 
 #[cfg(test)]
@@ -601,6 +709,61 @@ mod tests {
         let large = embed_ok(&generators::complete(6), &hw, 10).stats;
         assert!(large.dijkstra_calls > small.dijkstra_calls);
         assert!(large.edge_relaxations > small.edge_relaxations);
+    }
+
+    /// Embeddings and work counters recorded before the search moved onto
+    /// the CSR fast path; any change to pop order, tie-breaking, float sums
+    /// or RNG use shows here.  Each line is `calls relaxations passes tries |
+    /// chain,chain,...` with a chain's qubits separated by spaces.
+    #[test]
+    fn embeddings_and_stats_match_the_golden_record() {
+        let golden = [
+            "112 71008 2 4 | 36,0 4 32,12,11,14,6,2,34",
+            "112 71008 2 4 | 121,89,57,25 28,27,31,23,16 48 80 112 117 125",
+            "112 71008 2 4 | 96,100,97,1 33 65,7,15,8 40 72 104 109,101",
+            "192 121728 3 4 | 78 86,82,50,18 20,12,11,43 75,77,69,66,65 68,70",
+            "192 121728 3 4 | 78 86,82,50,18 20,12,11,43 75,77,69,66,65 68,70",
+            "192 121728 3 4 | 53,32 37 45,0,4,12 20,16,48 80,85,81,84,82,50",
+            "352 223168 3 4 | 82,51 52 83 84,49,81,85,48 80,53,50,18,4 12 20,0,5,1 33 65,71,79,87",
+            "352 223168 3 4 | 2 34 66 98 101,6,0,7 8 15,12,1 4,33,65 68 76,84,92,88 120 127,119,103 111,96,100,97",
+            "352 223168 3 4 | 100,96,101 109 117 120 125,88,12 20 24 28 56,8,14,6,0,4,1,7 15 23,18,50 82 114,119,97 103 111",
+            "320 202880 3 4 | 33 39 47,41,32,7 8 15 38 40 46,0,1 6,37,2 5 34,3 35 36 44,4",
+            "180 28800 1 4 | 12,11 15,8,0 4 5 6 7 16 20 24 28,10 14,9 13",
+        ];
+        let chimera = Chimera::new(4, 4, 4);
+        let faulted = FaultModel::exact_dead_qubits(chimera.graph(), 6, 99).apply(chimera.graph());
+        let mut cases = Vec::new();
+        for n in [8, 12, 16] {
+            for seed in 0..3 {
+                cases.push((generators::cycle(n), faulted.clone(), seed));
+            }
+        }
+        cases.push((generators::gnp(10, 0.4, 3), faulted, 5));
+        cases.push((
+            generators::complete(6),
+            Chimera::new(2, 2, 4).into_graph(),
+            4,
+        ));
+        assert_eq!(cases.len(), golden.len());
+        for ((input, hw, seed), expected) in cases.iter().zip(golden) {
+            let out = find_embedding(input, hw, &CmrConfig::with_seed(*seed))
+                .expect("every golden case embeds");
+            let s = out.stats;
+            let chains: Vec<String> = out
+                .embedding
+                .iter()
+                .map(|(_, c)| c.iter().map(usize::to_string).collect::<Vec<_>>().join(" "))
+                .collect();
+            let rendered = format!(
+                "{} {} {} {} | {}",
+                s.dijkstra_calls,
+                s.edge_relaxations,
+                s.passes_used,
+                s.tries_used,
+                chains.join(",")
+            );
+            assert_eq!(rendered, expected, "seed {seed}");
+        }
     }
 
     #[test]

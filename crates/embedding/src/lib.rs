@@ -16,7 +16,9 @@
 //!   coupler assignment, ferromagnetic chain strength) and readout
 //!   un-embedding by majority vote.
 //! * [`dijkstra`] — the weighted multi-source shortest-path search used by
-//!   the heuristic.
+//!   the heuristic: a fast path over the hardware's CSR adjacency with
+//!   reused buffers, tested bit for bit against a closure-based oracle that
+//!   is compiled only for tests.
 //!
 //! ```
 //! use minor_embed::prelude::*;
