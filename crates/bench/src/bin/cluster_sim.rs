@@ -83,9 +83,10 @@
 //!     [--seeds S1,S2,..] [--loads L1,L2,..] [--policies P1,P2,..]
 //! ```
 //!
-//! `--threads N` (the sweep-shaped modes: cache-cliff, fairness,
-//! aging-sweep, slo, bench, sweep) fans the mode's independent cells across
-//! N worker threads via the workspace's deterministic `rayon` facade
+//! Every mode but replay describes its runs as sweep cells — a labelled
+//! [`RunSpec`] each, the library's single run recipe — and executes them
+//! through one seam, `run_cells`.  `--threads N` fans the cells across N
+//! worker threads via the workspace's deterministic `rayon` facade
 //! (default `0` = available parallelism; `--threads 1` is the serial
 //! oracle).  Every cell is a pure function of its [`CellSpec`] and results
 //! are collected in cell-index order, so all outputs are bit-identical for
@@ -299,6 +300,44 @@ impl Args {
             percentiles: self.percentiles,
         }
     }
+
+    /// The metrics-registry sampling cadence of every cell.
+    fn sample_interval(&self) -> f64 {
+        self.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL)
+    }
+
+    /// A cell running `scheduler` over `workload` on `fleet` at this
+    /// invocation's seed: admit-all and open-loop, which callers override
+    /// by assigning `cell.run.admission` / `cell.run.config`.
+    fn cell(
+        &self,
+        label: String,
+        fleet: FleetConfig,
+        scheduler: SchedulerSpec,
+        workload: &Arc<Workload>,
+    ) -> CellSpec {
+        CellSpec {
+            label,
+            sample_interval: self.sample_interval(),
+            run: RunSpec {
+                seed: self.seed,
+                fleet,
+                scheduler,
+                admission: AdmissionSpec::AdmitAll,
+                config: self.sim_config(WorkloadMode::Open),
+                workload: Arc::clone(workload),
+            },
+        }
+    }
+}
+
+/// Parse a policy name (any alias) or exit 2 with the parser's message,
+/// prefixed by `context`.
+fn parse_policy(name: &str, context: &str) -> SchedulerSpec {
+    name.parse().unwrap_or_else(|err| {
+        eprintln!("{context}{err}");
+        std::process::exit(2);
+    })
 }
 
 fn parse_or_die<T: std::str::FromStr>(raw: &str, flag: &str) -> T {
@@ -314,15 +353,15 @@ fn parse_csv<T: std::str::FromStr>(raw: &str, flag: &str) -> Vec<T> {
         .collect()
 }
 
-/// Execute a mode's cell list: across `--threads` workers through the
+/// Execute a mode's cell list: across `threads` workers through the
 /// parallel sweep runner when nothing is observing, serially through the
 /// observer's sink chain otherwise (the flight recorder and the Perfetto
 /// exporter are single-stream writers).  Both paths produce bit-identical
 /// [`CellResult`]s — cells are pure functions of their specs and sinks are
-/// pure observers — so `--record`/`--trace-out` never change a sweep's
+/// pure observers — so `--record`/`--trace-out` never change a mode's
 /// outputs, only its wall clock.
-fn run_cells(args: &Args, observer: &mut Observer, cells: &[CellSpec]) -> SweepOutcome {
-    if observer.active() || args.threads == 1 {
+fn run_cells(observer: &mut Observer, cells: &[CellSpec], threads: usize) -> SweepOutcome {
+    if observer.active() || threads == 1 {
         let stopwatch = HostStopwatch::start();
         let results = cells
             .iter()
@@ -331,20 +370,21 @@ fn run_cells(args: &Args, observer: &mut Observer, cells: &[CellSpec]) -> SweepO
             .collect();
         SweepOutcome::collect(results, stopwatch.elapsed_seconds())
     } else {
-        run_sweep(cells, args.threads)
+        run_sweep(cells, threads)
     }
 }
 
 /// The observation plumbing shared by every mode: the optional flight
 /// recorder (`--record`, every run) and the optional Perfetto export
 /// (`--trace-out`, first run only — interleaving several runs would make
-/// the lanes unattributable).  Modes hand each run to [`Observer::run`] /
-/// [`Observer::observe`] and never know which sinks are active; both
-/// output files are opened eagerly at startup so a bad path is a usage
-/// error, and latched write failures surface in [`Observer::close`].
+/// the lanes unattributable).  Modes hand their cells to [`run_cells`]
+/// (replay mode its checks to [`Observer::with_chain`]) and never know
+/// which sinks are active; both output files are opened eagerly at
+/// startup so a bad path is a usage error, and latched write failures
+/// surface in [`Observer::close`].
 struct Observer {
     record_path: Option<String>,
-    recorder: Option<RecorderSink<std::io::BufWriter<std::fs::File>>>,
+    recorder: Option<JsonlSink<std::io::BufWriter<std::fs::File>>>,
     trace_path: Option<String>,
     trace_file: Option<std::fs::File>,
     perfetto: Option<PerfettoSink>,
@@ -363,7 +403,7 @@ impl Observer {
         let recorder = args
             .record
             .as_ref()
-            .map(|path| RecorderSink::new(std::io::BufWriter::new(open("--record", path))));
+            .map(|path| JsonlSink::new(std::io::BufWriter::new(open("--record", path))));
         let trace_file = args
             .trace_out
             .as_ref()
@@ -387,13 +427,11 @@ impl Observer {
 
     /// Assemble the sink chain for one run — flight-record segment header
     /// (when recording and a header is supplied), Perfetto exporter on the
-    /// first run only, the caller's `extra` sink — and hand it to `run`.
-    /// With nothing active the chain degenerates to a bare [`NullSink`],
-    /// the perf-default path.
+    /// first run only — and hand it to `run`.  With nothing active the
+    /// chain degenerates to a bare [`NullSink`], the perf-default path.
     fn with_chain<T>(
         &mut self,
         header: Option<&FlightHeader>,
-        extra: Option<&mut dyn TraceSink>,
         run: impl FnOnce(&mut dyn TraceSink) -> T,
     ) -> T {
         let Self {
@@ -403,7 +441,7 @@ impl Observer {
             ..
         } = self;
         if let (Some(recorder), Some(header)) = (recorder.as_mut(), header) {
-            recorder.begin_run(header);
+            recorder.write_value(&header.to_json());
         }
         let attach_perfetto = !*traced;
         *traced = true;
@@ -422,94 +460,22 @@ impl Observer {
                 chain = &mut fan_perfetto;
             }
         }
-        let mut fan_extra;
-        if let Some(extra) = extra {
-            fan_extra = FanoutSink::new(extra, chain);
-            chain = &mut fan_extra;
-        }
         run(chain)
-    }
-
-    /// Observe one engine run through the sink chain.
-    /// (One seam carries the whole chain, hence the argument count.)
-    #[allow(clippy::too_many_arguments)]
-    // sx-lint: hot-exempt -- bare-name collision with the hot registry/sketch `observe`; this runs once per CLI run, not per event
-    fn observe(
-        &mut self,
-        header: Option<&FlightHeader>,
-        fleet: Fleet,
-        workload: &Workload,
-        scheduler: &mut dyn Scheduler,
-        admission: &mut dyn AdmissionController,
-        config: SimConfig,
-        registry: Option<&mut MetricsRegistry>,
-        extra: Option<&mut dyn TraceSink>,
-    ) -> SimReport {
-        self.with_chain(header, extra, |chain| {
-            simulate_with_telemetry(
-                fleet, workload, scheduler, admission, config, chain, registry,
-            )
-        })
     }
 
     /// Execute one sweep cell through the observation chain — the serial
     /// path of [`run_cells`].  Produces the identical [`CellResult`] that
     /// `sweep::run_cell` with a bare [`NullSink`] would (sinks are pure
     /// observers), which is what lets `--record`/`--trace-out` capture a
-    /// sweep without perturbing its outputs.
+    /// mode without perturbing its outputs.
     fn run_cell(&mut self, index: usize, cell: &CellSpec) -> CellResult {
-        let header = self.recorder.is_some().then(|| {
-            FlightHeader::new(
-                cell.seed,
-                cell.scheduler.clone(),
-                cell.admission.name(),
-                cell.fleet.clone(),
-                cell.config,
-                (*cell.workload).clone(),
-            )
-        });
-        self.with_chain(header.as_ref(), None, |chain| {
+        let header = self
+            .recorder
+            .is_some()
+            .then(|| FlightHeader::new(&cell.run));
+        self.with_chain(header.as_ref(), |chain| {
             sx_cluster::sweep::run_cell(index, cell, chain)
         })
-    }
-
-    /// The common shape of a primary run: build the fleet from its config
-    /// and the scheduler from its spec, describe the run in a
-    /// [`FlightHeader`] (only when recording — the header embeds a clone
-    /// of the workload), and observe it.
-    #[allow(clippy::too_many_arguments)] // mirrors the engine entry point
-    fn run(
-        &mut self,
-        seed: u64,
-        fleet_config: FleetConfig,
-        workload: &Workload,
-        spec: &SchedulerSpec,
-        admission: &mut dyn AdmissionController,
-        config: SimConfig,
-        registry: Option<&mut MetricsRegistry>,
-    ) -> SimReport {
-        let header = self.recorder.is_some().then(|| {
-            FlightHeader::new(
-                seed,
-                spec.clone(),
-                admission.name(),
-                fleet_config.clone(),
-                config,
-                workload.clone(),
-            )
-        });
-        let fleet = Fleet::new(fleet_config, SplitExecConfig::with_seed(seed));
-        let mut scheduler = spec.build();
-        self.observe(
-            header.as_ref(),
-            fleet,
-            workload,
-            scheduler.as_mut(),
-            admission,
-            config,
-            registry,
-            None,
-        )
     }
 
     /// Flush the output files and surface any failure the sinks latched
@@ -648,13 +614,10 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         );
     }
 
-    let policies: Vec<PolicyKind> = if args.policy == "all" {
-        PolicyKind::all().to_vec()
+    let policies: Vec<SchedulerSpec> = if args.policy == "all" {
+        SchedulerSpec::all().to_vec()
     } else {
-        vec![args.policy.parse().unwrap_or_else(|e: String| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })]
+        vec![parse_policy(&args.policy, "")]
     };
 
     let mode = match args.closed {
@@ -695,20 +658,30 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         "makespan"
     );
 
-    let mut by_policy: Vec<(PolicyKind, SimReport)> = Vec::new();
-    for policy in policies {
-        // Telemetry is a pure observer (the sinks see `&TraceRecord` and
-        // cannot perturb the run), so recording/tracing through the
-        // observer yields the same report the plain path would.
-        let report = observer.run(
-            args.seed,
-            args.fleet_config(),
-            &workload,
-            &SchedulerSpec::from(policy),
-            &mut AdmitAll,
-            args.sim_config(mode),
-            None,
-        );
+    // One cell per policy over the shared workload.  Telemetry is a pure
+    // observer (the sinks see `&TraceRecord` and cannot perturb the run),
+    // so recording/tracing through the observer yields the same reports
+    // the parallel path would.
+    let workload = Arc::new(workload);
+    let cells: Vec<CellSpec> = policies
+        .iter()
+        .map(|policy| {
+            let mut cell = args.cell(
+                policy.name().to_string(),
+                args.fleet_config(),
+                policy.clone(),
+                &workload,
+            );
+            cell.run.config = args.sim_config(mode);
+            cell
+        })
+        .collect();
+    let outcome = run_cells(observer, &cells, args.threads);
+    let by_policy: Vec<(&SchedulerSpec, &SimReport)> = policies
+        .iter()
+        .zip(outcome.cells.iter().map(|cell| &cell.report))
+        .collect();
+    for (_, report) in &by_policy {
         println!(
             "{:>9} {:>6} {:>4} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6.1} {:>6.1} {:>5} {:>5} {:>9.2} {:>9.1}s",
             report.policy,
@@ -725,7 +698,6 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             100.0 * report.stage1_fraction(),
             report.makespan_seconds,
         );
-        by_policy.push((policy, report));
     }
 
     // The shared batch/cluster report format, for the last policy run.
@@ -743,10 +715,10 @@ fn compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             ok = false;
         }
     }
-    let fifo = by_policy.iter().find(|(p, _)| *p == PolicyKind::Fifo);
+    let fifo = by_policy.iter().find(|(p, _)| **p == SchedulerSpec::Fifo);
     let affinity = by_policy
         .iter()
-        .find(|(p, _)| *p == PolicyKind::CacheAffinity);
+        .find(|(p, _)| **p == SchedulerSpec::CacheAffinity);
     if let (Some((_, fifo)), Some((_, affinity))) = (fifo, affinity) {
         let speedup = fifo.latency.mean / affinity.latency.mean;
         println!(
@@ -780,13 +752,10 @@ fn cache_cliff(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // FIFO routes without looking at caches, so every device sees every
     // topology and the per-device capacity is compared directly against the
     // full diversity; an explicit --policy overrides it.
-    let policy: PolicyKind = if args.policy == "all" {
-        PolicyKind::Fifo
+    let policy = if args.policy == "all" {
+        SchedulerSpec::Fifo
     } else {
-        args.policy.parse().unwrap_or_else(|e: String| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        parse_policy(&args.policy, "")
     };
 
     println!(
@@ -840,19 +809,15 @@ fn cache_cliff(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         let mut cells: Vec<CellSpec> = Vec::new();
         for eviction in EvictionPolicyKind::all() {
             for &capacity in &capacities {
-                cells.push(CellSpec {
-                    label: format!("d{diversity}/{}/cap{capacity}", eviction.name()),
-                    seed: args.seed,
-                    fleet: args.fleet_config().with_cache(capacity, eviction),
-                    scheduler: SchedulerSpec::from(policy),
-                    admission: AdmissionSpec::AdmitAll,
-                    config: args.sim_config(WorkloadMode::Open),
-                    sample_interval: args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
-                    workload: Arc::clone(&workload),
-                });
+                cells.push(args.cell(
+                    format!("d{diversity}/{}/cap{capacity}", eviction.name()),
+                    args.fleet_config().with_cache(capacity, eviction),
+                    policy.clone(),
+                    &workload,
+                ));
             }
         }
-        let outcome = run_cells(args, observer, &cells);
+        let outcome = run_cells(observer, &cells, args.threads);
         let mut results = outcome.cells.iter();
         for eviction in EvictionPolicyKind::all() {
             for &capacity in &capacities {
@@ -984,19 +949,13 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // The whole mode as one cell list, in table order — isolated baseline,
     // the (asymmetry × skew × policy) grid, then the gated admission run —
     // executed in a single pass through the sweep runner (`--threads`).
-    let config = args.sim_config(WorkloadMode::Open);
-    let sample_interval = args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
     let depth_limit = 6;
-    let mut cells: Vec<CellSpec> = vec![CellSpec {
-        label: "isolated".to_string(),
-        seed: args.seed,
-        fleet: args.fleet_config(),
-        scheduler: SchedulerSpec::Fifo,
-        admission: AdmissionSpec::AdmitAll,
-        config,
-        sample_interval,
-        workload: Arc::new(isolated_workload),
-    }];
+    let mut cells: Vec<CellSpec> = vec![args.cell(
+        "isolated".to_string(),
+        args.fleet_config(),
+        SchedulerSpec::Fifo,
+        &Arc::new(isolated_workload),
+    )];
     for &asymmetry in &asymmetries {
         for &skew in &skews {
             let workload = Arc::new(
@@ -1009,27 +968,19 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                 )
                 .generate(),
             );
-            for policy in [PolicyKind::Fifo, PolicyKind::WeightedFair] {
-                // The per-workload WFQ (explicit tenant weights) needs the
-                // full SchedulerSpec form so a recorded run rebuilds the
-                // exact same lanes on replay.
-                let spec = match policy {
-                    PolicyKind::WeightedFair => SchedulerSpec::WeightedFair {
-                        weights: workload.weights(),
-                        lane_order: LaneOrder::default(),
-                    },
-                    other => SchedulerSpec::from(other),
-                };
-                cells.push(CellSpec {
-                    label: format!("asym{asymmetry}/skew{skew}/{}", spec.name()),
-                    seed: args.seed,
-                    fleet: args.fleet_config(),
-                    scheduler: spec,
-                    admission: AdmissionSpec::AdmitAll,
-                    config,
-                    sample_interval,
-                    workload: Arc::clone(&workload),
-                });
+            // WFQ with the workload's explicit tenant weights, so a
+            // recorded run rebuilds the exact same lanes on replay.
+            let wfq = SchedulerSpec::WeightedFair {
+                weights: workload.weights(),
+                lane_order: LaneOrder::default(),
+            };
+            for spec in [SchedulerSpec::Fifo, wfq] {
+                cells.push(args.cell(
+                    format!("asym{asymmetry}/skew{skew}/{}", spec.name()),
+                    args.fleet_config(),
+                    spec,
+                    &workload,
+                ));
             }
         }
     }
@@ -1048,36 +999,34 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         max_defer_seconds: 1e9,
         ..TokenBucketConfig::default()
     };
-    cells.push(CellSpec {
-        label: "gated".to_string(),
-        seed: args.seed,
-        fleet: args.fleet_config(),
-        scheduler: SchedulerSpec::WeightedFair {
+    let mut gated = args.cell(
+        "gated".to_string(),
+        args.fleet_config(),
+        SchedulerSpec::WeightedFair {
             weights: gated_workload.weights(),
             lane_order: LaneOrder::default(),
         },
-        admission: AdmissionSpec::TokenBucket {
-            default: generous,
-            per_tenant: vec![(
-                TenantId(1),
-                TokenBucketConfig {
-                    max_queue_depth: depth_limit,
-                    ..generous
-                },
-            )],
-        },
-        config,
-        sample_interval,
-        workload: Arc::clone(&gated_workload),
-    });
+        &gated_workload,
+    );
+    gated.run.admission = AdmissionSpec::TokenBucket {
+        default: generous,
+        per_tenant: vec![(
+            TenantId(1),
+            TokenBucketConfig {
+                max_queue_depth: depth_limit,
+                ..generous
+            },
+        )],
+    };
+    cells.push(gated);
 
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells, args.threads);
     let isolated_p99 = outcome.cells[0].report.latency.p99;
 
     let mut cell_index = 1;
     for &asymmetry in &asymmetries {
         for &skew in &skews {
-            for policy in [PolicyKind::Fifo, PolicyKind::WeightedFair] {
+            for wfq in [false, true] {
                 let report = &outcome.cells[cell_index].report;
                 cell_index += 1;
                 let victim = report.tenant_named("victim").expect("victim stats");
@@ -1094,7 +1043,7 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     report.max_min_share(),
                 );
 
-                if policy == PolicyKind::WeightedFair {
+                if wfq {
                     // A starved victim reports p99 = 0.0 and would pass the
                     // bound vacuously — completion is part of the claim.
                     if victim.completed < victim.submitted {
@@ -1135,7 +1084,7 @@ fn fairness(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     ),
                     ("max_min_share", JsonValue::from(report.max_min_share())),
                 ]));
-                if policy == PolicyKind::WeightedFair && asymmetry == 10.0 && skew == 1.0 {
+                if wfq && asymmetry == 10.0 && skew == 1.0 {
                     wfq_at_full_load = Some(report);
                 }
             }
@@ -1231,7 +1180,7 @@ fn aging_sweep(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         .seeds(vec![args.seed])
         .fleets(vec![(String::new(), args.fleet_config())])
         .loads(vec![1.25])
-        .sample_interval(args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL))
+        .sample_interval(args.sample_interval())
         .calibrated(&[10])
         .unwrap_or_else(|err| {
             eprintln!("aging-sweep calibration failed: {err}");
@@ -1269,7 +1218,7 @@ fn aging_sweep(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             aging_weight: name.parse().expect("weight axis names are f64 strings"),
         },
     );
-    let workload = Arc::clone(&cells[0].workload);
+    let workload = Arc::clone(&cells[0].run.workload);
 
     println!(
         "# cluster_sim aging-sweep: {} jobs ({} distinct topologies), {} QPUs, seed {} \
@@ -1284,7 +1233,7 @@ fn aging_sweep(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         "aging", "p99 [s]", "mean [s]", "max wait", "starved", "makespan"
     );
 
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells, args.threads);
 
     let mut ok = true;
     let mut points: Vec<(f64, f64, f64)> = Vec::new(); // (weight, p99, starvation)
@@ -1401,20 +1350,24 @@ fn admission_compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) 
         "admission", "hit%", "mean [s]", "evictions", "bypassed", "cold"
     );
 
-    let mut results: Vec<(AdmissionPolicy, SimReport)> = Vec::new();
+    let workload = Arc::new(workload);
+    let cells: Vec<CellSpec> = AdmissionPolicy::all()
+        .into_iter()
+        .map(|admission| {
+            args.cell(
+                admission.name().to_string(),
+                args.fleet_config()
+                    .with_cache(capacity, args.eviction.unwrap_or_default())
+                    .with_cache_admission(admission),
+                SchedulerSpec::Fifo,
+                &workload,
+            )
+        })
+        .collect();
+    let outcome = run_cells(observer, &cells, args.threads);
     let mut json_points: Vec<JsonValue> = Vec::new();
-    for admission in AdmissionPolicy::all() {
-        let report = observer.run(
-            args.seed,
-            args.fleet_config()
-                .with_cache(capacity, args.eviction.unwrap_or_default())
-                .with_cache_admission(admission),
-            &workload,
-            &SchedulerSpec::Fifo,
-            &mut AdmitAll,
-            args.sim_config(WorkloadMode::Open),
-            None,
-        );
+    for (admission, cell) in AdmissionPolicy::all().into_iter().zip(&outcome.cells) {
+        let report = &cell.report;
         println!(
             "{:>14} {:>7.1} {:>10.3} {:>10} {:>10} {:>6}",
             admission.name(),
@@ -1432,11 +1385,10 @@ fn admission_compare(args: &Args, observer: &mut Observer) -> (bool, JsonValue) 
             ("bypassed", JsonValue::from(report.cache_bypassed())),
             ("cold_misses", JsonValue::from(report.cold_misses())),
         ]));
-        results.push((admission, report));
     }
 
-    let always = &results[0].1;
-    let second = &results[1].1;
+    let always = &outcome.cells[0].report;
+    let second = &outcome.cells[1].report;
     let mut ok = true;
     if second.evictions() >= always.evictions() {
         println!(
@@ -1544,13 +1496,11 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     let loads = [0.6, 1.1];
     let factors = [6.0, 12.0]; // tight vs loose proportional slack
     let victim_jobs = (args.jobs / 2).max(10);
-    let config = args.sim_config(WorkloadMode::Open);
-    let sample_interval = args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
-    let plan = SweepPlan::new(args.rate_hz, args.qpus, config)
+    let plan = SweepPlan::new(args.rate_hz, args.qpus, args.sim_config(WorkloadMode::Open))
         .seeds(vec![args.seed])
         .fleets(vec![(String::new(), args.fleet_config())])
         .loads(loads.to_vec())
-        .sample_interval(sample_interval)
+        .sample_interval(args.sample_interval())
         .calibrated(&grid_sizes)
         .unwrap_or_else(|err| {
             eprintln!("slo calibration failed: {err}");
@@ -1654,31 +1604,29 @@ fn slo(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         .generate(),
     );
     for shed_infeasible in [false, true] {
-        cells.push(CellSpec {
-            label: format!("shed-{shed_infeasible}"),
-            seed: args.seed,
-            fleet: args.fleet_config(),
-            scheduler: SchedulerSpec::WeightedFair {
+        let mut cell = args.cell(
+            format!("shed-{shed_infeasible}"),
+            args.fleet_config(),
+            SchedulerSpec::WeightedFair {
                 weights: shed_workload.weights(),
                 lane_order: LaneOrder::default(),
             },
-            admission: AdmissionSpec::TokenBucket {
-                default: TokenBucketConfig {
-                    rate_hz: 1e3, // only the feasibility check binds
-                    burst: 1e3,
-                    max_queue_depth: usize::MAX,
-                    max_defer_seconds: 1e9,
-                    shed_infeasible,
-                },
-                per_tenant: Vec::new(),
+            &shed_workload,
+        );
+        cell.run.admission = AdmissionSpec::TokenBucket {
+            default: TokenBucketConfig {
+                rate_hz: 1e3, // only the feasibility check binds
+                burst: 1e3,
+                max_queue_depth: usize::MAX,
+                max_defer_seconds: 1e9,
+                shed_infeasible,
             },
-            config,
-            sample_interval,
-            workload: Arc::clone(&shed_workload),
-        });
+            per_tenant: Vec::new(),
+        };
+        cells.push(cell);
     }
 
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells, args.threads);
 
     let mut cell_index = 0;
     for &load in &loads {
@@ -1840,7 +1788,7 @@ const BENCH_CELL_NUM_KEYS: &[&str] = &[
 
 /// `--mode bench`: the engine performance baseline.  Runs a fixed seeded
 /// matrix (policy × fleet × offered load) of two-tenant aggressor/victim
-/// compositions, each cell through [`simulate_with_telemetry`] with a
+/// compositions, each cell through [`RunSpec::simulate`] with a
 /// [`NullSink`] and a sketch-only [`MetricsRegistry`] — the recommended
 /// large-run telemetry configuration — wall-clock timed host-side via
 /// [`HostStopwatch`].  Writes the schema-stable `BENCH_cluster.json`
@@ -1864,7 +1812,7 @@ fn bench(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // 200-job cells like compare mode.
     let asymmetry = 3.0;
     let victim_jobs = (args.jobs / 4).max(10);
-    let sample_interval = args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
+    let sample_interval = args.sample_interval();
 
     let fleet_config = |kind: &str| match kind {
         "uniform" => FleetConfig {
@@ -1941,33 +1889,14 @@ fn bench(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // cells section, through the observer chain so `--record` still
     // captures every cell.  (CI's baseline runs without --record, where
     // the chain degenerates to the bare NullSink this mode always timed.)
-    let serial = {
-        let stopwatch = HostStopwatch::start();
-        let results: Vec<CellResult> = cell_specs
-            .iter()
-            .enumerate()
-            .map(|(index, cell)| observer.run_cell(index, cell))
-            .collect();
-        SweepOutcome::collect(results, stopwatch.elapsed_seconds())
-    };
+    let serial = run_cells(observer, &cell_specs, 1);
 
     // The purity contract, enforced at runtime on the matrix's first cell:
     // swapping the sink for a retaining VecSink and dropping the registry
     // must not move a single bit of the report.
     {
-        let first = &cell_specs[0];
         let mut vec_sink = VecSink::new();
-        let mut scheduler = first.scheduler.build();
-        let mut admission = first.admission.build();
-        let rerun = simulate_with_telemetry(
-            Fleet::new(first.fleet.clone(), SplitExecConfig::with_seed(first.seed)),
-            &first.workload,
-            scheduler.as_mut(),
-            admission.as_mut(),
-            first.config,
-            &mut vec_sink,
-            None,
-        );
+        let rerun = cell_specs[0].run.simulate(&mut vec_sink, None);
         if rerun != serial.cells[0].report {
             println!("FAIL: sink-on vs sink-off reports differ — telemetry perturbed the run");
             ok = false;
@@ -2333,14 +2262,9 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     });
     // Validate and canonicalize every policy name up front: a typo is a
     // usage error, not an empty grid or a mid-sweep panic.
-    let policies: Vec<PolicyKind> = policy_names
+    let policies: Vec<SchedulerSpec> = policy_names
         .iter()
-        .map(|name| {
-            name.parse().unwrap_or_else(|err| {
-                eprintln!("--policies: {err}");
-                std::process::exit(2);
-            })
-        })
+        .map(|name| parse_policy(name, "--policies: "))
         .collect();
     if seeds.is_empty() || loads.is_empty() || policies.is_empty() {
         eprintln!("--seeds/--loads/--policies must each name at least one axis value");
@@ -2353,13 +2277,12 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     // sweep cells are comparable against the perf baseline's.
     let asymmetry = 3.0;
     let victim_jobs = (args.jobs / 4).max(10);
-    let sample_interval = args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
 
     let plan = SweepPlan::new(args.rate_hz, args.qpus, args.sim_config(WorkloadMode::Open))
         .seeds(seeds.clone())
         .fleets(vec![(args.fleet.clone(), args.fleet_config())])
         .loads(loads.clone())
-        .sample_interval(sample_interval)
+        .sample_interval(args.sample_interval())
         .calibrated(&[16, 20, 24])
         .unwrap_or_else(|err| {
             eprintln!("sweep calibration failed: {err}");
@@ -2375,13 +2298,12 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     .generate(),
             )
         },
-        |name, workload| match name.parse::<PolicyKind>() {
-            Ok(PolicyKind::WeightedFair) => SchedulerSpec::WeightedFair {
+        |name, workload| match parse_policy(name, "--policies: ") {
+            SchedulerSpec::WeightedFair { lane_order, .. } => SchedulerSpec::WeightedFair {
                 weights: workload.weights(),
-                lane_order: LaneOrder::default(),
+                lane_order,
             },
-            Ok(kind) => SchedulerSpec::from(kind),
-            Err(_) => unreachable!("policy names were validated above"),
+            spec => spec,
         },
     );
 
@@ -2401,7 +2323,7 @@ fn sweep_mode(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
         "cell", "policy", "load", "jobs", "done", "events", "p99 [s]", "wait p99", "warm%"
     );
 
-    let outcome = run_cells(args, observer, &cells);
+    let outcome = run_cells(observer, &cells, args.threads);
 
     let mut ok = true;
     let mut rows: Vec<JsonValue> = Vec::new();
@@ -2734,7 +2656,16 @@ fn replay(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
     let mut json_points: Vec<JsonValue> = Vec::new();
     for (segment, run) in record.runs.iter().enumerate() {
         let header = &run.header;
-        if !header.replayable() {
+        // Re-recording writes the parsed header back out: it is the header
+        // `FlightHeader::new` builds from the segment's own run recipe.
+        let check = if header.replayable() {
+            observer
+                .with_chain(Some(header), |chain| check_replay(run, chain))
+                .ok()
+        } else {
+            None
+        };
+        let Some(check) = check else {
             println!(
                 "segment {segment}: policy {}, admission {} — skipped \
                  (only admit-all segments are replayable)",
@@ -2747,37 +2678,16 @@ fn replay(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                 ("replayed", JsonValue::from(false)),
             ]));
             continue;
-        }
-        let mut sink = VecSink::new();
-        let fleet = Fleet::new(
-            header.fleet.clone(),
-            SplitExecConfig::with_seed(header.seed),
-        );
-        let mut scheduler = header.scheduler.build();
-        let report = observer.observe(
-            Some(header),
-            fleet,
-            &header.workload,
-            scheduler.as_mut(),
-            &mut AdmitAll,
-            header.config,
-            None,
-            Some(&mut sink),
-        );
-        let replayed = sink.records();
-        let compared = replayed.len().min(run.records.len());
-        let divergence = (0..compared)
-            .find(|&i| replayed[i] != run.records[i])
-            .or((replayed.len() != run.records.len()).then_some(compared));
+        };
         verified += 1;
-        match divergence {
+        match check.divergence {
             None => println!(
                 "segment {segment}: policy {}, seed {} — bit-identical \
                  ({} records, {} jobs completed)",
                 header.policy,
                 header.seed,
                 run.records.len(),
-                report.completed
+                check.report.completed
             ),
             Some(at) => {
                 ok = false;
@@ -2787,7 +2697,7 @@ fn replay(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
                     header.policy,
                     header.seed,
                     run.records.get(at),
-                    replayed.get(at)
+                    check.replayed.get(at)
                 );
             }
         }
@@ -2799,7 +2709,7 @@ fn replay(args: &Args, observer: &mut Observer) -> (bool, JsonValue) {
             ("records", JsonValue::from(run.records.len())),
             (
                 "divergence",
-                divergence.map_or(JsonValue::Null, JsonValue::from),
+                check.divergence.map_or(JsonValue::Null, JsonValue::from),
             ),
         ]));
     }

@@ -34,7 +34,7 @@ fn fleet(qpus: usize) -> Fleet {
     )
 }
 
-fn run(policy: PolicyKind, qpus: usize, workload: &Workload) -> SimReport {
+fn run(policy: &SchedulerSpec, qpus: usize, workload: &Workload) -> SimReport {
     let mut scheduler = policy.build();
     simulate(
         fleet(qpus),
@@ -48,10 +48,10 @@ fn bench_fleet_sizes(c: &mut Criterion) {
     let workload = WorkloadSpec::repeated_topologies(JOBS, RATE_HZ, SEED).generate();
     let mut group = c.benchmark_group("dispatch/fleet_size");
     for qpus in [2usize, 4, 8] {
-        let events = run(PolicyKind::Fifo, qpus, &workload).events;
+        let events = run(&SchedulerSpec::Fifo, qpus, &workload).events;
         group.throughput(Throughput::Elements(events as u64));
         group.bench_with_input(BenchmarkId::from_parameter(qpus), &qpus, |b, &qpus| {
-            b.iter(|| black_box(run(PolicyKind::Fifo, qpus, &workload)))
+            b.iter(|| black_box(run(&SchedulerSpec::Fifo, qpus, &workload)))
         });
     }
     group.finish();
@@ -61,16 +61,19 @@ fn bench_policies(c: &mut Criterion) {
     let workload = WorkloadSpec::repeated_topologies(JOBS, RATE_HZ, SEED).generate();
     let mut group = c.benchmark_group("dispatch/policy");
     for policy in [
-        PolicyKind::Fifo,
-        PolicyKind::WeightedFair,
-        PolicyKind::EarliestDeadline,
+        SchedulerSpec::Fifo,
+        SchedulerSpec::WeightedFair {
+            weights: Vec::new(),
+            lane_order: LaneOrder::default(),
+        },
+        SchedulerSpec::EarliestDeadlineFirst,
     ] {
-        let events = run(policy, 4, &workload).events;
+        let events = run(&policy, 4, &workload).events;
         group.throughput(Throughput::Elements(events as u64));
         group.bench_with_input(
-            BenchmarkId::new("qpus4", format!("{policy:?}")),
+            BenchmarkId::new("qpus4", policy.name()),
             &policy,
-            |b, &policy| b.iter(|| black_box(run(policy, 4, &workload))),
+            |b, policy| b.iter(|| black_box(run(policy, 4, &workload))),
         );
     }
     group.finish();

@@ -669,7 +669,11 @@ mod tests {
             },
             SplitExecConfig::with_seed(3),
         );
-        let mut policy = PolicyKind::WeightedFair.build();
+        let mut policy = SchedulerSpec::WeightedFair {
+            weights: Vec::new(),
+            lane_order: LaneOrder::default(),
+        }
+        .build();
         let report = simulate(fleet, &workload, policy.as_mut(), SimConfig::default());
         let json = report.to_json();
         assert_eq!(json.get("policy"), Some(&JsonValue::from("wfq")));

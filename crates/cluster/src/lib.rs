@@ -51,6 +51,13 @@
 //!   inside each lane by default, [`LaneOrder`]), so a tenant within its
 //!   fair share keeps its latency no matter how hard another tenant floods
 //!   the fleet, while tight-deadline jobs still jump their own lane.
+//!   [`SchedulerSpec`] names a policy with its knobs: the one vocabulary
+//!   the CLI parses, run recipes carry and flight records serialize.
+//! * [`sweep`] — [`RunSpec`], the single run recipe (seed, fleet,
+//!   scheduler, admission, engine config, shared workload) and its
+//!   [`RunSpec::simulate`], plus the deterministic parallel cell runner;
+//!   [`replay`] records a recipe and its trace as a flight record and
+//!   replays it bit-identically.
 //! * [`sim`] — the engine; [`metrics`] — latency percentiles
 //!   (via [`quantum_anneal::stats::percentile`]), per-stage breakdown,
 //!   per-QPU utilization and cache behavior (hit rate, evictions),
@@ -84,7 +91,7 @@
 //!
 //! let workload = WorkloadSpec::repeated_topologies(30, 0.05, 7).generate();
 //! let fleet = Fleet::new(FleetConfig::default(), SplitExecConfig::with_seed(7));
-//! let mut policy = PolicyKind::CacheAffinity.build();
+//! let mut policy = SchedulerSpec::CacheAffinity.build();
 //! let report = simulate(fleet, &workload, policy.as_mut(), SimConfig::default());
 //! assert_eq!(report.completed + report.rejected, 30);
 //! assert!(report.stage1_fraction() > 0.9); // the paper's headline, fleet-scale
@@ -127,11 +134,10 @@ pub use metrics::{
 pub use replay::{
     check_replay, fleet_fingerprint, parse_arrival_trace, parse_flight_record,
     render_arrival_trace, replay_run, workload_digest, FlightHeader, FlightRecord, RecordedRun,
-    RecordedTrace, RecorderSink, ReplayCheck, ReplayError, SchedulerSpec, TraceReader,
-    ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
+    RecordedTrace, ReplayCheck, ReplayError, TraceReader, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
 };
 pub use scheduler::{
-    CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, PolicyKind, Scheduler,
+    CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, Scheduler, SchedulerSpec,
     ShortestPredictedFirst, WeightedFairQueue,
 };
 pub use sim::{
@@ -140,7 +146,7 @@ pub use sim::{
 };
 pub use sweep::{
     run_cell, run_sweep, AdmissionSpec, CellResult, CellSpec, MergedAggregates, RateCalibration,
-    SweepOutcome, SweepPlan,
+    RunSpec, SweepOutcome, SweepPlan,
 };
 pub use telemetry::{
     time_host, EnginePerf, FanoutSink, HostStopwatch, JsonlSink, MetricsRegistry, NullSink,
@@ -170,11 +176,10 @@ pub mod prelude {
     pub use crate::replay::{
         check_replay, fleet_fingerprint, parse_arrival_trace, parse_flight_record,
         render_arrival_trace, replay_run, workload_digest, FlightHeader, FlightRecord, RecordedRun,
-        RecordedTrace, RecorderSink, ReplayCheck, ReplayError, SchedulerSpec, TraceReader,
-        ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
+        RecordedTrace, ReplayCheck, ReplayError, TraceReader, ARRIVAL_SCHEMA, FLIGHT_SCHEMA,
     };
     pub use crate::scheduler::{
-        CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, PolicyKind, Scheduler,
+        CacheAffinity, EarliestDeadlineFirst, Fifo, LaneOrder, Scheduler, SchedulerSpec,
         ShortestPredictedFirst, WeightedFairQueue,
     };
     pub use crate::sim::{
@@ -183,7 +188,7 @@ pub mod prelude {
     };
     pub use crate::sweep::{
         run_cell, run_sweep, AdmissionSpec, CellResult, CellSpec, MergedAggregates,
-        RateCalibration, SweepOutcome, SweepPlan,
+        RateCalibration, RunSpec, SweepOutcome, SweepPlan,
     };
     pub use crate::telemetry::{
         time_host, EnginePerf, FanoutSink, HostStopwatch, JsonlSink, MetricsRegistry, NullSink,
@@ -204,7 +209,7 @@ mod determinism_tests {
     use crate::prelude::*;
     use split_exec::SplitExecConfig;
 
-    fn run(policy: PolicyKind, seed: u64) -> SimReport {
+    fn run(policy: &SchedulerSpec, seed: u64) -> SimReport {
         // Rate ~1 job/s against ~1–4 s services keeps several devices busy,
         // so policies genuinely differ (at negligible load every policy
         // collapses onto device 0).
@@ -223,7 +228,7 @@ mod determinism_tests {
 
     #[test]
     fn same_seed_gives_bit_identical_trace_and_metrics() {
-        for policy in PolicyKind::all() {
+        for policy in &SchedulerSpec::all() {
             let a = run(policy, 17);
             let b = run(policy, 17);
             // PartialEq over the full report covers the trace, every f64
@@ -238,8 +243,8 @@ mod determinism_tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let a = run(PolicyKind::Fifo, 1);
-        let b = run(PolicyKind::Fifo, 2);
+        let a = run(&SchedulerSpec::Fifo, 1);
+        let b = run(&SchedulerSpec::Fifo, 2);
         assert_ne!(a.trace, b.trace);
     }
 
@@ -261,7 +266,7 @@ mod determinism_tests {
                 );
                 // FIFO routes by queue position alone, so every device sees
                 // every topology: at capacity 1 the bound must bind.
-                let mut scheduler = PolicyKind::Fifo.build();
+                let mut scheduler = SchedulerSpec::Fifo.build();
                 simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
             };
             let a = run(29);
@@ -359,8 +364,8 @@ mod determinism_tests {
         // cache-affinity policy completes the same workload with lower mean
         // latency than FIFO, because it pays ~one cold embed per topology
         // instead of ~one per (topology, device) pair.
-        let fifo = run(PolicyKind::Fifo, 23);
-        let affinity = run(PolicyKind::CacheAffinity, 23);
+        let fifo = run(&SchedulerSpec::Fifo, 23);
+        let affinity = run(&SchedulerSpec::CacheAffinity, 23);
         assert_eq!(fifo.jobs, affinity.jobs);
         assert!(affinity.cold_misses() < fifo.cold_misses());
         assert!(
@@ -388,7 +393,7 @@ mod proptests {
             },
             SplitExecConfig::with_seed(seed),
         );
-        let mut scheduler = PolicyKind::Fifo.build();
+        let mut scheduler = SchedulerSpec::Fifo.build();
         simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
     }
 
@@ -436,7 +441,7 @@ mod proptests {
             } else {
                 EvictionPolicyKind::Lru
             };
-            for policy in PolicyKind::all() {
+            for policy in &SchedulerSpec::all() {
                 let workload = WorkloadSpec::repeated_topologies(20, 1.0, seed).generate();
                 let fleet = Fleet::new(
                     FleetConfig { qpus: 2, seed, ..FleetConfig::default() }
@@ -460,7 +465,7 @@ mod proptests {
         /// under every policy.
         #[test]
         fn jobs_are_conserved(seed in 0u64..200) {
-            for policy in PolicyKind::all() {
+            for policy in &SchedulerSpec::all() {
                 let workload = WorkloadSpec::mixed(12, 0.1, seed).generate();
                 let fleet = Fleet::new(
                     FleetConfig { qpus: 2, seed, ..FleetConfig::default() },
@@ -522,7 +527,7 @@ mod proptests {
                 seed,
             )
             .generate();
-            for policy in [PolicyKind::Fifo, PolicyKind::WeightedFair] {
+            for policy in [SchedulerSpec::Fifo, SchedulerSpec::WeightedFair { weights: Vec::new(), lane_order: LaneOrder::default() }] {
                 let fleet = Fleet::new(
                     FleetConfig { qpus: 2, seed, ..FleetConfig::default() },
                     SplitExecConfig::with_seed(seed),

@@ -16,17 +16,21 @@
 //!
 //! Three layers:
 //!
-//! * [`RecorderSink`] — a [`TraceSink`] that streams header + records to
-//!   any `io::Write` using [`JsonlSink`]'s latched-error plumbing (an
-//!   observability failure never aborts a simulation).
+//! * Recording — a [`crate::telemetry::JsonlSink`] streams the records;
+//!   before each run the recorder writes the run's header with
+//!   [`crate::telemetry::JsonlSink::write_value`]
+//!   (`sink.write_value(&FlightHeader::new(&run).to_json())`), so headers
+//!   and records share one writer, one line count and one latched error
+//!   (an observability failure never aborts a simulation).
 //! * [`TraceReader`] — workload *sources*: a recorded arrival trace
 //!   ([`ARRIVAL_SCHEMA`]) is just another workload next to the synthetic
 //!   generators ([`WorkloadSpec`] / [`MultiTenantSpec`] implement the same
 //!   trait), so a captured job stream replays bit-identically against
 //!   policy changes.
-//! * [`replay_run`] / [`check_replay`] — rebuild the fleet and scheduler
-//!   from a parsed header and re-run, optionally comparing the replayed
-//!   stream element-wise against the recorded one.
+//! * [`replay_run`] / [`check_replay`] — turn a parsed header back into
+//!   its [`RunSpec`] ([`FlightHeader::run_spec`]) and re-run it,
+//!   optionally comparing the replayed stream element-wise against the
+//!   recorded one.
 //!
 //! Parsing never panics: every malformed input — truncated JSONL,
 //! unknown schema version, out-of-order arrivals, duplicate job ids — is a
@@ -38,24 +42,20 @@
 //! admission parse fine (and diff fine) but [`replay_run`] refuses them
 //! with [`ReplayError::UnsupportedAdmission`].
 
-use std::io;
 use std::sync::Arc;
 
-use split_exec::{QpuModel, SplitExecConfig};
+use split_exec::QpuModel;
 
-use crate::admission::AdmitAll;
 use crate::cache::{AdmissionPolicy, EvictionPolicyKind};
 use crate::event::{Event, EventKind};
-use crate::fleet::{Fleet, FleetConfig};
+use crate::fleet::FleetConfig;
 use crate::job::Job;
 use crate::json::{self, JsonValue, ParseError};
 use crate::metrics::SimReport;
-use crate::scheduler::{
-    LaneOrder, PolicyKind, Scheduler, ShortestPredictedFirst, WeightedFairQueue,
-    DEFAULT_AGING_WEIGHT,
-};
-use crate::sim::{simulate_with_telemetry, PercentileMode, SimConfig, TraceRecord, WorkloadMode};
-use crate::telemetry::{JsonlSink, TraceSink, VecSink};
+use crate::scheduler::{LaneOrder, SchedulerSpec};
+use crate::sim::{PercentileMode, SimConfig, TraceRecord, WorkloadMode};
+use crate::sweep::{AdmissionSpec, RunSpec};
+use crate::telemetry::{FanoutSink, TraceSink, VecSink};
 use crate::tenant::{MultiTenantSpec, TenantId, TenantMeta};
 use crate::workload::{Workload, WorkloadError, WorkloadSpec};
 
@@ -407,74 +407,12 @@ pub fn workload_digest(workload: &Workload) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler specs: a serializable recipe for rebuilding a policy
+// Scheduler specs <-> JSON
 // ---------------------------------------------------------------------------
 
-/// A serializable description of a scheduling policy — everything needed to
-/// rebuild the exact scheduler a run used, including the knobs
-/// [`PolicyKind`] cannot carry (aging weight, explicit lane weights, lane
-/// ordering).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchedulerSpec {
-    /// [`crate::scheduler::Fifo`].
-    Fifo,
-    /// [`crate::scheduler::CacheAffinity`].
-    CacheAffinity,
-    /// [`crate::scheduler::EarliestDeadlineFirst`].
-    EarliestDeadlineFirst,
-    /// [`ShortestPredictedFirst`] with an explicit aging weight.
-    ShortestPredictedFirst {
-        /// Anti-starvation aging weight (seconds of credit per second
-        /// queued).
-        aging_weight: f64,
-    },
-    /// [`WeightedFairQueue`] with explicit lane weights and lane order.
-    WeightedFair {
-        /// Per-lane fair-share weights; missing lanes default to 1.0, so an
-        /// empty vector is the uniform-weight queue.
-        weights: Vec<f64>,
-        /// How jobs are ordered within a lane.
-        lane_order: LaneOrder,
-    },
-}
-
+/// The JSON codec of [`SchedulerSpec`]: the recipe for rebuilding the
+/// exact scheduler a recorded run used.
 impl SchedulerSpec {
-    /// The display name the rebuilt scheduler reports
-    /// ([`Scheduler::name`]): `fifo`, `affinity`, `edf`, `spjf`, `wfq` or
-    /// `wfq-fifo`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerSpec::Fifo => "fifo",
-            SchedulerSpec::CacheAffinity => "affinity",
-            SchedulerSpec::EarliestDeadlineFirst => "edf",
-            SchedulerSpec::ShortestPredictedFirst { .. } => "spjf",
-            SchedulerSpec::WeightedFair { lane_order, .. } => match lane_order {
-                LaneOrder::EarliestDeadline => "wfq",
-                LaneOrder::Fifo => "wfq-fifo",
-            },
-        }
-    }
-
-    /// Instantiate the described scheduler.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerSpec::Fifo => Box::new(crate::scheduler::Fifo),
-            SchedulerSpec::CacheAffinity => Box::new(crate::scheduler::CacheAffinity),
-            SchedulerSpec::EarliestDeadlineFirst => {
-                Box::new(crate::scheduler::EarliestDeadlineFirst)
-            }
-            SchedulerSpec::ShortestPredictedFirst { aging_weight } => {
-                Box::new(ShortestPredictedFirst::with_aging(*aging_weight))
-            }
-            SchedulerSpec::WeightedFair {
-                weights,
-                lane_order,
-            } => Box::new(
-                WeightedFairQueue::with_weights(weights.clone()).with_lane_order(*lane_order),
-            ),
-        }
-    }
-
     /// The spec as a flat JSON object (the header's `"scheduler"` field).
     pub fn to_json(&self) -> JsonValue {
         match self {
@@ -555,24 +493,6 @@ impl SchedulerSpec {
                 "policy",
                 format!("unknown policy {other:?}"),
             )),
-        }
-    }
-}
-
-impl From<PolicyKind> for SchedulerSpec {
-    /// The spec describing exactly what [`PolicyKind::build`] constructs.
-    fn from(kind: PolicyKind) -> Self {
-        match kind {
-            PolicyKind::Fifo => SchedulerSpec::Fifo,
-            PolicyKind::CacheAffinity => SchedulerSpec::CacheAffinity,
-            PolicyKind::EarliestDeadline => SchedulerSpec::EarliestDeadlineFirst,
-            PolicyKind::ShortestPredictedFirst => SchedulerSpec::ShortestPredictedFirst {
-                aging_weight: DEFAULT_AGING_WEIGHT,
-            },
-            PolicyKind::WeightedFair => SchedulerSpec::WeightedFair {
-                weights: Vec::new(),
-                lane_order: LaneOrder::default(),
-            },
         }
     }
 }
@@ -877,8 +797,9 @@ pub struct FlightHeader {
     pub fleet: FleetConfig,
     /// Engine configuration (release mode, percentile mode).
     pub config: SimConfig,
-    /// The full job stream, embedded so the record is self-contained.
-    pub workload: Workload,
+    /// The full job stream, embedded so the record is self-contained
+    /// (shared with the recorded [`RunSpec`], never deep-copied).
+    pub workload: Arc<Workload>,
     /// [`fleet_fingerprint`] of `fleet` at record time.
     pub fleet_fingerprint: u64,
     /// [`workload_digest`] of `workload` at record time.
@@ -887,26 +808,17 @@ pub struct FlightHeader {
 
 impl FlightHeader {
     /// Describe a run about to be recorded; digests are computed here.
-    pub fn new(
-        seed: u64,
-        scheduler: SchedulerSpec,
-        admission: &str,
-        fleet: FleetConfig,
-        config: SimConfig,
-        workload: Workload,
-    ) -> Self {
-        let fleet_fingerprint = fleet_fingerprint(&fleet);
-        let workload_digest = workload_digest(&workload);
+    pub fn new(run: &RunSpec) -> Self {
         Self {
-            seed,
-            policy: scheduler.name().to_string(),
-            admission: admission.to_string(),
-            scheduler,
-            fleet,
-            config,
-            workload,
-            fleet_fingerprint,
-            workload_digest,
+            seed: run.seed,
+            policy: run.scheduler.name().to_string(),
+            admission: run.admission.name().to_string(),
+            scheduler: run.scheduler.clone(),
+            fleet: run.fleet.clone(),
+            config: run.config,
+            workload: Arc::clone(&run.workload),
+            fleet_fingerprint: fleet_fingerprint(&run.fleet),
+            workload_digest: workload_digest(&run.workload),
         }
     }
 
@@ -914,6 +826,25 @@ impl FlightHeader {
     /// runs can — see the module docs).
     pub fn replayable(&self) -> bool {
         self.admission == "admit-all"
+    }
+
+    /// The recipe that re-runs this recording: an `admit-all`
+    /// [`RunSpec`], or [`ReplayError::UnsupportedAdmission`] when the run
+    /// was gated by a controller whose state the header does not carry.
+    pub fn run_spec(&self) -> Result<RunSpec, ReplayError> {
+        if !self.replayable() {
+            return Err(ReplayError::UnsupportedAdmission {
+                admission: self.admission.clone(),
+            });
+        }
+        Ok(RunSpec {
+            seed: self.seed,
+            fleet: self.fleet.clone(),
+            scheduler: self.scheduler.clone(),
+            admission: AdmissionSpec::AdmitAll,
+            config: self.config,
+            workload: Arc::clone(&self.workload),
+        })
     }
 
     /// The header as one JSON object (the flight record's header line).
@@ -1001,7 +932,7 @@ impl FlightHeader {
             scheduler,
             fleet,
             config,
-            workload,
+            workload: Arc::new(workload),
             fleet_fingerprint: recorded_fleet_fp,
             workload_digest: recorded_workload_digest,
         })
@@ -1114,78 +1045,6 @@ fn record_from_json(line: usize, value: &JsonValue) -> Result<TraceRecord, Repla
             line,
             kind: other.to_string(),
         }),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RecorderSink
-// ---------------------------------------------------------------------------
-
-/// A [`TraceSink`] that streams a flight record to any [`io::Write`]:
-/// call [`Self::begin_run`] with the run's header, then attach the sink to
-/// the engine — every record becomes one JSONL line.  Reuses
-/// [`JsonlSink`]'s latched-error plumbing: I/O failures are counted and
-/// latched ([`Self::take_error`] / [`Self::finish`]), never raised into
-/// the engine.
-///
-/// One sink can record many runs back-to-back (one `begin_run` per run);
-/// [`parse_flight_record`] splits them back apart.
-#[derive(Debug)]
-pub struct RecorderSink<W: io::Write> {
-    inner: JsonlSink<W>,
-}
-
-impl<W: io::Write> RecorderSink<W> {
-    /// A recorder writing to `out`.
-    pub fn new(out: W) -> Self {
-        Self {
-            inner: JsonlSink::new(out),
-        }
-    }
-
-    /// Open a new run segment by writing its header line.  Must be called
-    /// before the run's first record; may be called again for each
-    /// subsequent run recorded into the same file.
-    pub fn begin_run(&mut self, header: &FlightHeader) {
-        self.inner.write_value(&header.to_json());
-    }
-
-    /// Lines (headers + records) successfully written.
-    pub fn lines(&self) -> usize {
-        self.inner.lines()
-    }
-
-    /// Write failures latched so far.
-    pub fn write_errors(&self) -> usize {
-        self.inner.write_errors()
-    }
-
-    /// The first latched write failure, if any, leaving the latch empty.
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.inner.take_error()
-    }
-
-    /// Flush and return the underlying writer, discarding any latched
-    /// error; use [`Self::finish`] to observe failures instead.
-    pub fn into_inner(self) -> W {
-        self.inner.into_inner()
-    }
-
-    /// Flush and dismantle the recorder, reporting the first latched
-    /// failure: `Ok((writer, lines))` only if every line landed.
-    pub fn finish(self) -> Result<(W, usize), io::Error> {
-        self.inner.finish()
-    }
-}
-
-impl<W: io::Write> TraceSink for RecorderSink<W> {
-    // sx-lint: hot-exempt -- streaming serialization is this sink's whole policy; NullSink is the perf default
-    fn on_record(&mut self, record: &TraceRecord, vclock: f64) {
-        self.inner.on_record(record, vclock);
-    }
-
-    fn name(&self) -> &'static str {
-        "recorder"
     }
 }
 
@@ -1330,35 +1189,16 @@ impl TraceReader for MultiTenantSpec {
 // Replay
 // ---------------------------------------------------------------------------
 
-/// Re-simulate a recorded run from its header: rebuild the fleet (same
-/// config + seed ⇒ identical fault maps), rebuild the scheduler from its
-/// spec, and run the engine with `sink` attached.  The determinism
-/// contract guarantees the emitted stream is bit-identical to the recorded
-/// one; [`check_replay`] asserts it.
+/// Re-simulate a recorded run from its header's [`RunSpec`] (same fleet
+/// config + seed ⇒ identical fault maps, scheduler rebuilt from its spec)
+/// with `sink` attached.  The determinism contract guarantees the emitted
+/// stream is bit-identical to the recorded one; [`check_replay`] asserts
+/// it.
 ///
 /// Refuses runs whose admission controller cannot be reconstructed
 /// ([`ReplayError::UnsupportedAdmission`]).
 pub fn replay_run(run: &RecordedRun, sink: &mut dyn TraceSink) -> Result<SimReport, ReplayError> {
-    if !run.header.replayable() {
-        return Err(ReplayError::UnsupportedAdmission {
-            admission: run.header.admission.clone(),
-        });
-    }
-    let fleet = Fleet::new(
-        run.header.fleet.clone(),
-        SplitExecConfig::with_seed(run.header.seed),
-    );
-    let mut scheduler = run.header.scheduler.build();
-    let mut admission = AdmitAll;
-    Ok(simulate_with_telemetry(
-        fleet,
-        &run.header.workload,
-        scheduler.as_mut(),
-        &mut admission,
-        run.header.config,
-        sink,
-        None,
-    ))
+    Ok(run.header.run_spec()?.simulate(sink, None))
 }
 
 /// The outcome of replaying a recorded run and comparing streams.
@@ -1371,29 +1211,36 @@ pub struct ReplayCheck {
     pub divergence: Option<usize>,
     /// The replayed run's report.
     pub report: SimReport,
+    /// The replayed trace, in emission order.
+    pub replayed: Vec<TraceRecord>,
 }
 
-/// Replay `run` and compare the replayed stream element-wise against the
-/// recorded one.
-pub fn check_replay(run: &RecordedRun) -> Result<ReplayCheck, ReplayError> {
-    let mut sink = VecSink::new();
-    let report = replay_run(run, &mut sink)?;
-    let replayed = sink.into_trace();
+/// Replay `run` with `sink` attached (pass a
+/// [`crate::telemetry::NullSink`] when only the verdict matters) and
+/// compare the replayed stream element-wise against the recorded one.
+pub fn check_replay(
+    run: &RecordedRun,
+    sink: &mut dyn TraceSink,
+) -> Result<ReplayCheck, ReplayError> {
+    let mut retained = VecSink::new();
+    let report = replay_run(run, &mut FanoutSink::new(&mut retained, sink))?;
+    let replayed = retained.into_trace();
     let compared = run.records.len().min(replayed.len());
-    let mut divergence = (0..compared).find(|&i| run.records[i] != replayed[i]);
-    if divergence.is_none() && run.records.len() != replayed.len() {
-        divergence = Some(compared);
-    }
+    let divergence = (0..compared)
+        .find(|&i| run.records[i] != replayed[i])
+        .or((run.records.len() != replayed.len()).then_some(compared));
     Ok(ReplayCheck {
         compared,
         divergence,
         report,
+        replayed,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{JsonlSink, NullSink};
 
     fn tiny_workload(n: usize) -> Workload {
         let jobs = (0..n)
@@ -1415,37 +1262,27 @@ mod tests {
     }
 
     fn small_header(seed: u64, spec: SchedulerSpec) -> FlightHeader {
-        FlightHeader::new(
+        FlightHeader::new(&RunSpec {
             seed,
-            spec,
-            "admit-all",
-            FleetConfig {
+            fleet: FleetConfig {
                 qpus: 2,
                 seed,
                 ..FleetConfig::default()
             },
-            SimConfig::default(),
-            tiny_workload(8),
-        )
+            scheduler: spec,
+            admission: AdmissionSpec::AdmitAll,
+            config: SimConfig::default(),
+            workload: Arc::new(tiny_workload(8)),
+        })
     }
 
     fn record_run(header: &FlightHeader) -> String {
-        let mut recorder = RecorderSink::new(Vec::<u8>::new());
-        recorder.begin_run(header);
-        let fleet = Fleet::new(
-            header.fleet.clone(),
-            SplitExecConfig::with_seed(header.seed),
-        );
-        let mut scheduler = header.scheduler.build();
-        simulate_with_telemetry(
-            fleet,
-            &header.workload,
-            scheduler.as_mut(),
-            &mut AdmitAll,
-            header.config,
-            &mut recorder,
-            None,
-        );
+        let mut recorder = JsonlSink::new(Vec::<u8>::new());
+        recorder.write_value(&header.to_json());
+        header
+            .run_spec()
+            .expect("admit-all")
+            .simulate(&mut recorder, None);
         let (bytes, lines) = recorder.finish().expect("in-memory writes cannot fail");
         assert!(lines > 1, "header plus at least one record");
         String::from_utf8(bytes).expect("utf8")
@@ -1477,11 +1314,14 @@ mod tests {
     }
 
     #[test]
-    fn policy_kind_specs_build_what_policy_kind_builds() {
-        for kind in PolicyKind::all() {
-            let spec = SchedulerSpec::from(kind);
-            assert_eq!(spec.build().name(), kind.build().name());
-        }
+    fn flight_headers_share_the_recipe_workload_and_give_the_recipe_back() {
+        let header = small_header(9, SchedulerSpec::CacheAffinity);
+        let recipe = header.run_spec().expect("admit-all");
+        assert!(
+            Arc::ptr_eq(&recipe.workload, &header.workload),
+            "no deep copy"
+        );
+        assert_eq!(FlightHeader::new(&recipe), header);
     }
 
     #[test]
@@ -1510,7 +1350,7 @@ mod tests {
         let run = &flight.runs[0];
         assert_eq!(run.header, header);
         assert!(!run.records.is_empty());
-        let check = check_replay(run).expect("replayable");
+        let check = check_replay(run, &mut NullSink).expect("replayable");
         assert_eq!(check.divergence, None, "replay must be bit-identical");
         assert_eq!(check.compared, run.records.len());
     }
@@ -1525,7 +1365,12 @@ mod tests {
         assert_eq!(flight.runs[0].header.seed, 3);
         assert_eq!(flight.runs[1].header.seed, 4);
         for run in &flight.runs {
-            assert_eq!(check_replay(run).expect("replayable").divergence, None);
+            assert_eq!(
+                check_replay(run, &mut NullSink)
+                    .expect("replayable")
+                    .divergence,
+                None
+            );
         }
     }
 
@@ -1545,7 +1390,7 @@ mod tests {
                 job: 9999,
             };
         }
-        let check = check_replay(run).expect("replayable");
+        let check = check_replay(run, &mut NullSink).expect("replayable");
         assert_eq!(check.divergence, Some(mid));
     }
 
@@ -1557,15 +1402,26 @@ mod tests {
         let run = &mut flight.runs[0];
         let keep = run.records.len() - 2;
         run.records.truncate(keep);
-        let check = check_replay(run).expect("replayable");
+        let check = check_replay(run, &mut NullSink).expect("replayable");
         assert_eq!(check.divergence, Some(keep));
     }
 
     #[test]
     fn token_bucket_segments_are_refused_not_panicked() {
-        let mut header = small_header(5, SchedulerSpec::Fifo);
-        header.admission = "token-bucket".to_string();
+        let mut recipe = small_header(5, SchedulerSpec::Fifo)
+            .run_spec()
+            .expect("admit-all");
+        recipe.admission = AdmissionSpec::TokenBucket {
+            default: crate::admission::TokenBucketConfig::default(),
+            per_tenant: Vec::new(),
+        };
+        let header = FlightHeader::new(&recipe);
+        assert_eq!(header.admission, "token-bucket");
         assert!(!header.replayable());
+        assert!(matches!(
+            header.run_spec(),
+            Err(ReplayError::UnsupportedAdmission { .. })
+        ));
         let run = RecordedRun {
             header,
             records: Vec::new(),

@@ -39,6 +39,9 @@
 //!   deadline-carrying jobs dispatch earliest-deadline-first and
 //!   deadline-free jobs keep FIFO order — cross-tenant isolation from the
 //!   virtual clock, per-tenant SLO attainment from EDF, composed.
+//!
+//! [`SchedulerSpec`] names a policy together with its knobs; it is how
+//! every caller outside the engine selects and rebuilds one.
 
 use crate::fleet::Fleet;
 use crate::job::Job;
@@ -589,68 +592,102 @@ impl Scheduler for WeightedFairQueue {
     }
 }
 
-/// Policy selection by name, for CLI surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
+/// A scheduling policy by value: which policy, plus the knobs its
+/// constructor takes (aging weight, lane weights, lane order).  The one
+/// policy vocabulary of the crate — CLI names parse into it
+/// ([`std::str::FromStr`]), run recipes and flight records carry it, and
+/// [`Self::build`] instantiates the scheduler with fresh state.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SchedulerSpec {
     /// [`Fifo`].
     Fifo,
-    /// [`ShortestPredictedFirst`].
-    ShortestPredictedFirst,
     /// [`CacheAffinity`].
     CacheAffinity,
     /// [`EarliestDeadlineFirst`].
-    EarliestDeadline,
-    /// [`WeightedFairQueue`] with uniform weights and EDF lanes; use
-    /// [`WeightedFairQueue::with_weights`] / [`WeightedFairQueue::for_workload`]
-    /// directly for weighted shares or FIFO lanes.
-    WeightedFair,
+    EarliestDeadlineFirst,
+    /// [`ShortestPredictedFirst`] with an explicit aging weight.
+    ShortestPredictedFirst {
+        /// Anti-starvation aging weight (seconds of credit per second
+        /// queued).
+        aging_weight: f64,
+    },
+    /// [`WeightedFairQueue`] with explicit lane weights and lane order.
+    WeightedFair {
+        /// Per-lane fair-share weights; missing lanes default to 1.0, so an
+        /// empty vector is the uniform-weight queue.
+        weights: Vec<f64>,
+        /// How jobs are ordered within a lane.
+        lane_order: LaneOrder,
+    },
 }
 
-impl PolicyKind {
-    /// All policies, in comparison-table order.
-    pub fn all() -> [PolicyKind; 5] {
+impl SchedulerSpec {
+    /// Every policy with its default knobs, in comparison-table order:
+    /// `fifo`, `spjf` ([`DEFAULT_AGING_WEIGHT`]), `affinity`, `edf`, `wfq`
+    /// (uniform weights, EDF lanes).
+    pub fn all() -> [SchedulerSpec; 5] {
         [
-            PolicyKind::Fifo,
-            PolicyKind::ShortestPredictedFirst,
-            PolicyKind::CacheAffinity,
-            PolicyKind::EarliestDeadline,
-            PolicyKind::WeightedFair,
+            SchedulerSpec::Fifo,
+            SchedulerSpec::ShortestPredictedFirst {
+                aging_weight: DEFAULT_AGING_WEIGHT,
+            },
+            SchedulerSpec::CacheAffinity,
+            SchedulerSpec::EarliestDeadlineFirst,
+            SchedulerSpec::WeightedFair {
+                weights: Vec::new(),
+                lane_order: LaneOrder::default(),
+            },
         ]
     }
 
-    /// Instantiate the policy.
-    pub fn build(&self) -> Box<dyn Scheduler> {
+    /// The display name the built scheduler reports
+    /// ([`Scheduler::name`]): `fifo`, `affinity`, `edf`, `spjf`, `wfq` or
+    /// `wfq-fifo`.
+    pub fn name(&self) -> &'static str {
         match self {
-            PolicyKind::Fifo => Box::new(Fifo),
-            PolicyKind::ShortestPredictedFirst => Box::new(ShortestPredictedFirst::default()),
-            PolicyKind::CacheAffinity => Box::new(CacheAffinity),
-            PolicyKind::EarliestDeadline => Box::new(EarliestDeadlineFirst),
-            PolicyKind::WeightedFair => Box::new(WeightedFairQueue::new()),
+            SchedulerSpec::Fifo => "fifo",
+            SchedulerSpec::CacheAffinity => "affinity",
+            SchedulerSpec::EarliestDeadlineFirst => "edf",
+            SchedulerSpec::ShortestPredictedFirst { .. } => "spjf",
+            SchedulerSpec::WeightedFair { lane_order, .. } => match lane_order {
+                LaneOrder::EarliestDeadline => "wfq",
+                LaneOrder::Fifo => "wfq-fifo",
+            },
         }
     }
 
-    /// The policy's stable name.
-    pub fn name(&self) -> &'static str {
+    /// Instantiate the described scheduler with fresh state.
+    pub fn build(&self) -> Box<dyn Scheduler> {
         match self {
-            PolicyKind::Fifo => "fifo",
-            PolicyKind::ShortestPredictedFirst => "spjf",
-            PolicyKind::CacheAffinity => "affinity",
-            PolicyKind::EarliestDeadline => "edf",
-            PolicyKind::WeightedFair => "wfq",
+            SchedulerSpec::Fifo => Box::new(Fifo),
+            SchedulerSpec::CacheAffinity => Box::new(CacheAffinity),
+            SchedulerSpec::EarliestDeadlineFirst => Box::new(EarliestDeadlineFirst),
+            SchedulerSpec::ShortestPredictedFirst { aging_weight } => {
+                Box::new(ShortestPredictedFirst::with_aging(*aging_weight))
+            }
+            SchedulerSpec::WeightedFair {
+                weights,
+                lane_order,
+            } => Box::new(
+                WeightedFairQueue::with_weights(weights.clone()).with_lane_order(*lane_order),
+            ),
         }
     }
 }
 
-impl std::str::FromStr for PolicyKind {
+impl std::str::FromStr for SchedulerSpec {
     type Err = String;
 
+    /// Parse a CLI policy name (case-insensitive, with aliases) into the
+    /// policy's [`SchedulerSpec::all`] default.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let [fifo, spjf, affinity, edf, wfq] = SchedulerSpec::all();
         match s.trim().to_ascii_lowercase().as_str() {
-            "fifo" => Ok(PolicyKind::Fifo),
-            "spjf" | "sjf" | "shortest" => Ok(PolicyKind::ShortestPredictedFirst),
-            "affinity" | "cache" | "cache-affinity" => Ok(PolicyKind::CacheAffinity),
-            "edf" | "deadline" | "earliest-deadline" => Ok(PolicyKind::EarliestDeadline),
-            "wfq" | "fair" | "weighted-fair" => Ok(PolicyKind::WeightedFair),
+            "fifo" => Ok(fifo),
+            "spjf" | "sjf" | "shortest" => Ok(spjf),
+            "affinity" | "cache" | "cache-affinity" => Ok(affinity),
+            "edf" | "deadline" | "earliest-deadline" => Ok(edf),
+            "wfq" | "fair" | "weighted-fair" => Ok(wfq),
             other => Err(format!(
                 "unknown scheduling policy '{other}' (expected fifo, spjf, affinity, edf or wfq)"
             )),
@@ -658,7 +695,7 @@ impl std::str::FromStr for PolicyKind {
     }
 }
 
-impl std::fmt::Display for PolicyKind {
+impl std::fmt::Display for SchedulerSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
@@ -1239,29 +1276,112 @@ mod tests {
         assert_eq!(fifo_lane.name(), "wfq-fifo");
     }
 
+    /// A constructor of the scheduler a policy name has always built.
+    type Legacy = fn() -> Box<dyn Scheduler>;
+
     #[test]
-    fn policy_kind_parses_and_displays() {
-        assert_eq!("fifo".parse::<PolicyKind>().unwrap(), PolicyKind::Fifo);
+    fn policy_vocabulary_parses_round_trips_and_builds_the_named_scheduler() {
+        use crate::sim::{simulate, SimConfig};
+        use crate::tenant::{MultiTenantSpec, TenantSpec};
+        use crate::workload::{ArrivalProcess, DeadlinePolicy, FamilySpec};
+
+        // (accepted spellings, the spec they parse to, canonical name, the
+        // scheduler that name denotes, constructed directly).
+        let table: [(&[&str], SchedulerSpec, &str, Legacy); 5] = [
+            (
+                &["fifo", "FIFO", " fifo "],
+                SchedulerSpec::Fifo,
+                "fifo",
+                || Box::new(Fifo),
+            ),
+            (
+                &["spjf", "SPJF", "sjf", "shortest"],
+                SchedulerSpec::ShortestPredictedFirst {
+                    aging_weight: DEFAULT_AGING_WEIGHT,
+                },
+                "spjf",
+                || Box::new(ShortestPredictedFirst::default()),
+            ),
+            (
+                &["affinity", "cache", "cache-affinity"],
+                SchedulerSpec::CacheAffinity,
+                "affinity",
+                || Box::new(CacheAffinity),
+            ),
+            (
+                &["edf", "deadline", "earliest-deadline"],
+                SchedulerSpec::EarliestDeadlineFirst,
+                "edf",
+                || Box::new(EarliestDeadlineFirst),
+            ),
+            (
+                &["wfq", "fair", "weighted-fair"],
+                SchedulerSpec::WeightedFair {
+                    weights: Vec::new(),
+                    lane_order: LaneOrder::EarliestDeadline,
+                },
+                "wfq",
+                || Box::new(WeightedFairQueue::new()),
+            ),
+        ];
         assert_eq!(
-            "edf".parse::<PolicyKind>().unwrap(),
-            PolicyKind::EarliestDeadline
+            table.iter().map(|row| row.1.clone()).collect::<Vec<_>>(),
+            SchedulerSpec::all(),
+            "all() lists the table's defaults in comparison-table order"
         );
-        assert_eq!(
-            "SPJF".parse::<PolicyKind>().unwrap(),
-            PolicyKind::ShortestPredictedFirst
-        );
-        assert_eq!(
-            "cache-affinity".parse::<PolicyKind>().unwrap(),
-            PolicyKind::CacheAffinity
-        );
-        assert_eq!(
-            "weighted-fair".parse::<PolicyKind>().unwrap(),
-            PolicyKind::WeightedFair
-        );
-        assert!("nope".parse::<PolicyKind>().is_err());
-        for kind in PolicyKind::all() {
-            assert_eq!(kind.to_string(), kind.name());
-            assert_eq!(kind.build().name(), kind.name());
+
+        // Two deadline-carrying tenants of unequal weight flooding one
+        // device, so lane order, lane weights, EDF and aging all have a
+        // backlog to decide over (a wrong knob moves the report).
+        let tenant =
+            |name: &str, weight: f64, jobs: usize, rate_hz: f64, sizes: Vec<usize>| TenantSpec {
+                name: name.to_string(),
+                weight,
+                jobs,
+                arrivals: ArrivalProcess::Poisson { rate_hz },
+                mix: vec![(1.0, FamilySpec::MaxCutCycle { sizes })],
+                deadlines: DeadlinePolicy::ProportionalSlack { factor: 4.0 },
+            };
+        let workload = MultiTenantSpec {
+            seed: 3,
+            tenants: vec![
+                tenant("victim", 2.0, 12, 4.0, vec![8, 16, 24]),
+                tenant("aggressor", 1.0, 36, 12.0, vec![10, 20, 30]),
+            ],
         }
+        .generate();
+        let run = |scheduler: &mut dyn Scheduler| {
+            simulate(fleet(1), &workload, scheduler, SimConfig::default())
+        };
+
+        for (spellings, spec, canonical, legacy) in &table {
+            let expected = run(legacy().as_mut());
+            for spelling in *spellings {
+                let parsed: SchedulerSpec = spelling.parse().expect("accepted spelling");
+                assert_eq!(&parsed, spec, "{spelling:?}");
+                assert_eq!(parsed.name(), *canonical);
+                assert_eq!(parsed.to_string(), *canonical);
+                let rendered = parsed.to_json().to_string();
+                let json = crate::json::parse(&rendered).expect("valid JSON");
+                assert_eq!(
+                    SchedulerSpec::from_json(1, &json).expect("round trip"),
+                    parsed
+                );
+                let mut built = parsed.build();
+                assert_eq!(built.name(), *canonical);
+                assert_eq!(
+                    run(built.as_mut()),
+                    expected,
+                    "{spelling:?} builds the same policy"
+                );
+            }
+        }
+        assert_eq!(
+            "nope".parse::<SchedulerSpec>(),
+            Err(
+                "unknown scheduling policy 'nope' (expected fifo, spjf, affinity, edf or wfq)"
+                    .to_string()
+            )
+        );
     }
 }

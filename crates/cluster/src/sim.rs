@@ -810,7 +810,7 @@ fn assemble_report(
 mod tests {
     use super::*;
     use crate::fleet::FleetConfig;
-    use crate::scheduler::PolicyKind;
+    use crate::scheduler::{LaneOrder, SchedulerSpec, DEFAULT_AGING_WEIGHT};
     use crate::workload::WorkloadSpec;
     use split_exec::SplitExecConfig;
 
@@ -825,7 +825,7 @@ mod tests {
         )
     }
 
-    fn run(policy: PolicyKind, seed: u64, mode: WorkloadMode) -> SimReport {
+    fn run(policy: &SchedulerSpec, seed: u64, mode: WorkloadMode) -> SimReport {
         let workload = WorkloadSpec::repeated_topologies(40, 0.5, seed).generate();
         let mut scheduler = policy.build();
         simulate(
@@ -850,7 +850,7 @@ mod tests {
     #[test]
     fn sketch_percentiles_agree_with_exact_within_the_documented_bound() {
         let workload = WorkloadSpec::repeated_topologies(60, 0.8, 21).generate();
-        let mut exact_sched = PolicyKind::CacheAffinity.build();
+        let mut exact_sched = SchedulerSpec::CacheAffinity.build();
         let exact = simulate(
             fleet(21),
             &workload,
@@ -861,7 +861,7 @@ mod tests {
             percentiles: PercentileMode::Sketch,
             ..SimConfig::default()
         };
-        let mut sketch_sched = PolicyKind::CacheAffinity.build();
+        let mut sketch_sched = SchedulerSpec::CacheAffinity.build();
         let sketch = simulate(fleet(21), &workload, sketch_sched.as_mut(), sketch_config);
 
         // The percentile mode only changes how the report summarizes; the
@@ -871,7 +871,7 @@ mod tests {
         assert_eq!(exact.events, sketch.events);
 
         // And the sketch path is itself deterministic.
-        let mut again_sched = PolicyKind::CacheAffinity.build();
+        let mut again_sched = SchedulerSpec::CacheAffinity.build();
         let again = simulate(fleet(21), &workload, again_sched.as_mut(), sketch_config);
         assert_eq!(again, sketch);
 
@@ -933,7 +933,7 @@ mod tests {
 
     #[test]
     fn every_job_is_accounted_for() {
-        for policy in PolicyKind::all() {
+        for policy in &SchedulerSpec::all() {
             let report = run(policy, 7, WorkloadMode::Open);
             assert_eq!(report.completed + report.rejected, report.jobs);
             assert_eq!(report.records.len(), report.completed);
@@ -947,7 +947,7 @@ mod tests {
 
     #[test]
     fn per_job_times_are_causal() {
-        let report = run(PolicyKind::Fifo, 3, WorkloadMode::Open);
+        let report = run(&SchedulerSpec::Fifo, 3, WorkloadMode::Open);
         for r in &report.records {
             assert!(r.start >= r.arrival, "job {} started before arrival", r.job);
             assert!(r.finish > r.start);
@@ -958,7 +958,13 @@ mod tests {
 
     #[test]
     fn devices_never_overlap_jobs() {
-        let report = run(PolicyKind::ShortestPredictedFirst, 5, WorkloadMode::Open);
+        let report = run(
+            &SchedulerSpec::ShortestPredictedFirst {
+                aging_weight: DEFAULT_AGING_WEIGHT,
+            },
+            5,
+            WorkloadMode::Open,
+        );
         for qpu in 0..3 {
             let mut spans: Vec<(f64, f64)> = report
                 .records
@@ -980,7 +986,7 @@ mod tests {
     fn stage1_dominates_at_fleet_scale() {
         // The paper's single-machine headline must survive the move to a
         // fleet: summed stage-1 service far exceeds summed stage-2.
-        for policy in PolicyKind::all() {
+        for policy in &SchedulerSpec::all() {
             let report = run(policy, 11, WorkloadMode::Open);
             assert!(
                 report.stage1_fraction() > 0.9,
@@ -994,7 +1000,7 @@ mod tests {
 
     #[test]
     fn closed_mode_keeps_population_bounded() {
-        let report = run(PolicyKind::Fifo, 9, WorkloadMode::Closed { clients: 2 });
+        let report = run(&SchedulerSpec::Fifo, 9, WorkloadMode::Closed { clients: 2 });
         assert_eq!(report.completed + report.rejected, report.jobs);
         // With 2 clients, at most 2 jobs are ever queued or in service, so
         // the dispatch queue never exceeds the client count.
@@ -1003,7 +1009,7 @@ mod tests {
 
     #[test]
     fn warm_hits_accumulate_on_repeated_topologies() {
-        let report = run(PolicyKind::CacheAffinity, 13, WorkloadMode::Open);
+        let report = run(&SchedulerSpec::CacheAffinity, 13, WorkloadMode::Open);
         assert!(report.warm_hits() > 0);
         // Cold embeds are bounded by topologies × devices.
         assert!(report.cold_misses() <= 4 * 3);
@@ -1019,7 +1025,7 @@ mod tests {
         let open = simulate(
             fleet(3),
             &workload,
-            PolicyKind::Fifo.build().as_mut(),
+            SchedulerSpec::Fifo.build().as_mut(),
             SimConfig::default(),
         );
         let depth_limit = 4;
@@ -1033,7 +1039,7 @@ mod tests {
         let gated = simulate_with_admission(
             fleet(3),
             &workload,
-            PolicyKind::Fifo.build().as_mut(),
+            SchedulerSpec::Fifo.build().as_mut(),
             &mut gate,
             SimConfig::default(),
         );
@@ -1064,7 +1070,7 @@ mod tests {
         let report = simulate_with_admission(
             fleet(3),
             &workload,
-            PolicyKind::Fifo.build().as_mut(),
+            SchedulerSpec::Fifo.build().as_mut(),
             &mut gate,
             SimConfig::default(),
         );
@@ -1097,7 +1103,7 @@ mod tests {
         let report = simulate_with_admission(
             fleet(3),
             &workload,
-            PolicyKind::Fifo.build().as_mut(),
+            SchedulerSpec::Fifo.build().as_mut(),
             &mut gate,
             SimConfig {
                 mode: WorkloadMode::Closed { clients: 2 },
@@ -1131,7 +1137,7 @@ mod tests {
         let report = simulate(
             fleet(7),
             &workload,
-            PolicyKind::Fifo.build().as_mut(),
+            SchedulerSpec::Fifo.build().as_mut(),
             SimConfig {
                 mode: WorkloadMode::Closed { clients: 2 },
                 ..SimConfig::default()
@@ -1167,7 +1173,12 @@ mod tests {
         let report = simulate(
             fleet(9),
             &workload,
-            PolicyKind::WeightedFair.build().as_mut(),
+            SchedulerSpec::WeightedFair {
+                weights: Vec::new(),
+                lane_order: LaneOrder::default(),
+            }
+            .build()
+            .as_mut(),
             SimConfig::default(),
         );
         assert_eq!(report.per_tenant.len(), 2);
@@ -1191,7 +1202,7 @@ mod tests {
     #[test]
     fn empty_workload_produces_an_empty_report() {
         let workload = Workload::single_tenant(vec![]);
-        let mut scheduler = PolicyKind::Fifo.build();
+        let mut scheduler = SchedulerSpec::Fifo.build();
         let report = simulate(
             fleet(1),
             &workload,
@@ -1215,7 +1226,13 @@ mod tests {
         // one deliberate difference — VecSink retains, NullSink drops — so
         // it is normalized before comparison.
         for seed in [3, 21, 77] {
-            for policy in [PolicyKind::Fifo, PolicyKind::WeightedFair] {
+            for policy in [
+                SchedulerSpec::Fifo,
+                SchedulerSpec::WeightedFair {
+                    weights: Vec::new(),
+                    lane_order: LaneOrder::default(),
+                },
+            ] {
                 let workload = WorkloadSpec::repeated_topologies(30, 2.0, seed).generate();
                 let mut null_sink = NullSink;
                 let bare = simulate_with_telemetry(
@@ -1273,7 +1290,7 @@ mod tests {
 
     #[test]
     fn events_count_the_fired_trace_records() {
-        let report = run(PolicyKind::Fifo, 17, WorkloadMode::Open);
+        let report = run(&SchedulerSpec::Fifo, 17, WorkloadMode::Open);
         let fired = report
             .trace
             .iter()
@@ -1294,7 +1311,7 @@ mod tests {
         let report = simulate_with_telemetry(
             fleet(5),
             &workload,
-            PolicyKind::CacheAffinity.build().as_mut(),
+            SchedulerSpec::CacheAffinity.build().as_mut(),
             &mut AdmitAll,
             SimConfig::default(),
             &mut sink,

@@ -1,9 +1,11 @@
 //! Deterministic parallel experiment runner: fan independent simulation
 //! cells across threads, bit-identical to serial.
 //!
-//! A [`CellSpec`] is a complete, serializable-shaped description of one
-//! independent run — seed, generated workload, fleet config, scheduler
-//! spec, admission spec, engine config.  [`SweepPlan`] expands a cartesian
+//! A [`RunSpec`] is the crate's single run recipe — seed, generated
+//! workload, fleet config, scheduler spec, admission spec, engine config —
+//! and [`RunSpec::simulate`] is the one place a recipe meets the engine.
+//! A [`CellSpec`] is a labelled recipe plus its registry's sampling
+//! cadence.  [`SweepPlan`] expands a cartesian
 //! grid of axes (seed × fleet × load × workload variant × scheduler) into
 //! cells, with capacity-derived arrival-rate calibration
 //! ([`RateCalibration`]) hoisted out of the per-cell loop so a cell's rate
@@ -15,7 +17,7 @@
 //! # Parallelism is invisible
 //!
 //! Every cell is a pure function of its [`CellSpec`]: the fleet (and its
-//! per-device RNGs) is rebuilt from the cell's seed, the scheduler and
+//! per-device RNGs) is rebuilt from the run's seed, the scheduler and
 //! admission controller are rebuilt from their specs, and the engine runs
 //! with a [`NullSink`] plus a per-cell sketch [`MetricsRegistry`] — the
 //! production-shaped telemetry configuration.  No state is shared between
@@ -38,14 +40,13 @@ use crate::admission::{AdmissionController, AdmitAll, TokenBucket, TokenBucketCo
 use crate::fleet::{Fleet, FleetConfig};
 use crate::json::JsonValue;
 use crate::metrics::SimReport;
-use crate::replay::SchedulerSpec;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, SchedulerSpec};
 use crate::sim::{simulate_with_telemetry, SimConfig};
 use crate::telemetry::{HostStopwatch, MetricsRegistry, NullSink, StreamingHistogram, TraceSink};
 use crate::tenant::TenantId;
 use crate::workload::Workload;
 
-/// Serializable-shaped admission description: how a cell's
+/// Serializable-shaped admission description: how a run's
 /// [`AdmissionController`] is rebuilt, the way [`SchedulerSpec`] rebuilds
 /// its scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,28 +90,78 @@ impl AdmissionSpec {
     }
 }
 
-/// One independent simulation cell: everything [`run_cell`] needs to
-/// execute a run from scratch.  Cells share their (read-only) workload via
-/// `Arc`, exactly as the serial sweep modes shared one generated workload
-/// across a scheduler axis.
+/// One simulation run, fully described: the crate's single run recipe.
+///
+/// Sweep cells ([`CellSpec::run`]) and flight-record headers
+/// ([`crate::replay::FlightHeader::new`] /
+/// [`crate::replay::FlightHeader::run_spec`]) both carry one, and
+/// [`Self::simulate`] is the one place a recipe becomes a [`Fleet`], a
+/// scheduler and an admission controller and meets the engine.  The
+/// workload is shared via `Arc`, so cloning a recipe (or recording it)
+/// never copies the job stream.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// Seed of the run's fleet (device fault draws and sub-RNGs).
+    pub seed: u64,
+    /// Fleet shape; the fleet is rebuilt per run from this config.
+    pub fleet: FleetConfig,
+    /// Scheduler, rebuilt per run with fresh state.
+    pub scheduler: SchedulerSpec,
+    /// Admission controller, rebuilt per run with fresh state.
+    pub admission: AdmissionSpec,
+    /// Engine configuration (open/closed mode, percentile summarization).
+    pub config: SimConfig,
+    /// The generated workload the run replays.
+    pub workload: Arc<Workload>,
+}
+
+impl RunSpec {
+    /// Build the run's fleet, scheduler and admission controller fresh
+    /// from the recipe and simulate it, streaming every trace record to
+    /// `sink` and feeding `registry` when one is given.  A pure function of
+    /// the recipe: sinks and registries are pure observers.
+    // sx-lint: hot-root -- between the once-per-run construction and the returned report this IS the dispatch loop, and must stay allocation-free in steady state
+    pub fn simulate(
+        &self,
+        sink: &mut dyn TraceSink,
+        registry: Option<&mut MetricsRegistry>,
+    ) -> SimReport {
+        let (fleet, mut scheduler, mut admission) = self.fresh_runtime();
+        simulate_with_telemetry(
+            fleet,
+            &self.workload,
+            scheduler.as_mut(),
+            admission.as_mut(),
+            self.config,
+            sink,
+            registry,
+        )
+    }
+
+    /// Once-per-run setup: rebuild the fleet, scheduler and admission
+    /// controller from the recipe.
+    // sx-lint: hot-exempt -- once-per-run construction before the dispatch loop; the loop itself only touches pre-built state
+    fn fresh_runtime(&self) -> (Fleet, Box<dyn Scheduler>, Box<dyn AdmissionController>) {
+        (
+            Fleet::new(self.fleet.clone(), SplitExecConfig::with_seed(self.seed)),
+            self.scheduler.build(),
+            self.admission.build(),
+        )
+    }
+}
+
+/// One independent sweep cell: a labelled [`RunSpec`] plus the sampling
+/// cadence of the cell's metrics registry.  Cells share their (read-only)
+/// workload via `Arc`, exactly as the serial sweep modes shared one
+/// generated workload across a scheduler axis.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Display label, e.g. `s7/uniform/load0.7/fifo`.
     pub label: String,
-    /// Seed for the cell's fleet (device fault draws and sub-RNGs).
-    pub seed: u64,
-    /// Fleet shape; the fleet is rebuilt per cell from this config.
-    pub fleet: FleetConfig,
-    /// Scheduler, rebuilt per cell with fresh state.
-    pub scheduler: SchedulerSpec,
-    /// Admission controller, rebuilt per cell with fresh state.
-    pub admission: AdmissionSpec,
-    /// Engine configuration (open/closed mode, percentile summarization).
-    pub config: SimConfig,
     /// Virtual-time sampling cadence of the cell's metrics registry.
     pub sample_interval: f64,
-    /// The generated workload this cell replays.
-    pub workload: Arc<Workload>,
+    /// The run the cell executes.
+    pub run: RunSpec,
 }
 
 /// The result of one cell, collected in cell-index order.
@@ -135,36 +186,21 @@ pub struct CellResult {
     pub wall_seconds: f64,
 }
 
-/// Once-per-cell setup: rebuild the fleet, scheduler, admission controller
-/// and metrics registry from the cell's specs.
-#[allow(clippy::type_complexity)]
-// sx-lint: hot-exempt -- once-per-cell construction before the dispatch loop; the loop itself only touches pre-built state
-fn cell_runtime(
-    spec: &CellSpec,
-) -> (
-    Fleet,
-    Box<dyn Scheduler>,
-    Box<dyn AdmissionController>,
-    MetricsRegistry,
-) {
-    (
-        Fleet::new(spec.fleet.clone(), SplitExecConfig::with_seed(spec.seed)),
-        spec.scheduler.build(),
-        spec.admission.build(),
-        MetricsRegistry::new(spec.sample_interval),
-    )
-}
-
-/// Once-per-cell teardown: lift the registry's standard sketches into the
-/// [`CellResult`].
-// sx-lint: hot-exempt -- once per cell, after the event loop drains; nothing here is per-event
-fn assemble_cell(
-    index: usize,
-    spec: &CellSpec,
-    report: SimReport,
-    registry: &MetricsRegistry,
-    wall_seconds: f64,
-) -> CellResult {
+/// Execute one cell: the sweep runner's per-cell body.  Runs the cell's
+/// [`RunSpec`] with a fresh sketch registry and lifts the registry's
+/// standard sketches into the [`CellResult`].
+///
+/// The cell is a pure function of `spec` — see the module docs — so the
+/// result is identical no matter which thread runs it or in what order.
+/// `sink` is normally [`NullSink`] (the production-shaped config);
+/// `cluster_sim` passes its recording chain here when a flight record or
+/// Perfetto trace was requested, which cannot perturb the report (sinks
+/// are pure observers).
+pub fn run_cell(index: usize, spec: &CellSpec, sink: &mut dyn TraceSink) -> CellResult {
+    let stopwatch = HostStopwatch::start();
+    let mut registry = MetricsRegistry::new(spec.sample_interval);
+    let report = spec.run.simulate(sink, Some(&mut registry));
+    let wall_seconds = stopwatch.elapsed_seconds();
     let sketch = |name: &str| {
         registry.histogram(name).cloned().unwrap_or_default() // sim_series always registers both; empty workloads still get an empty sketch
     };
@@ -176,30 +212,6 @@ fn assemble_cell(
         wait_sketch: sketch("wait_seconds"),
         wall_seconds,
     }
-}
-
-/// Execute one cell: the sweep runner's per-cell body.
-///
-/// The cell is a pure function of `spec` — see the module docs — so the
-/// result is identical no matter which thread runs it or in what order.
-/// `sink` is normally [`NullSink`] (the production-shaped config);
-/// `cluster_sim`'s observer passes its recording chain here when a flight
-/// record or Perfetto trace was requested, which cannot perturb the report
-/// (sinks are pure observers).
-// sx-lint: hot-root -- the sweep runner's per-cell body: between setup and assembly this IS the dispatch loop, and must stay allocation-free in steady state
-pub fn run_cell(index: usize, spec: &CellSpec, sink: &mut dyn TraceSink) -> CellResult {
-    let stopwatch = HostStopwatch::start();
-    let (fleet, mut scheduler, mut admission, mut registry) = cell_runtime(spec);
-    let report = simulate_with_telemetry(
-        fleet,
-        &spec.workload,
-        scheduler.as_mut(),
-        admission.as_mut(),
-        spec.config,
-        sink,
-        Some(&mut registry),
-    );
-    assemble_cell(index, spec, report, &registry, stopwatch.elapsed_seconds())
 }
 
 /// Cross-cell aggregates, merged in cell-index order through
@@ -546,13 +558,15 @@ impl SweepPlan {
                             .join("/");
                             cells.push(CellSpec {
                                 label,
-                                seed,
-                                fleet: fleet.clone(),
-                                scheduler,
-                                admission: AdmissionSpec::AdmitAll,
-                                config: self.config,
                                 sample_interval: self.sample_interval,
-                                workload: Arc::clone(&workload),
+                                run: RunSpec {
+                                    seed,
+                                    fleet: fleet.clone(),
+                                    scheduler,
+                                    admission: AdmissionSpec::AdmitAll,
+                                    config: self.config,
+                                    workload: Arc::clone(&workload),
+                                },
                             });
                         }
                     }
@@ -566,7 +580,6 @@ impl SweepPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::PolicyKind;
     use crate::sim::{PercentileMode, SimConfig, WorkloadMode};
     use crate::workload::WorkloadSpec;
 
@@ -674,8 +687,8 @@ mod tests {
         assert_eq!(plan.rate_for(0, 0.5), 1.0);
         assert_eq!(plan.rate_for(1, 1.5), 3.0);
         // Every cell's fleet carries the cell seed.
-        assert!(cells.iter().take(4).all(|c| c.fleet.seed == 1));
-        assert!(cells.iter().skip(4).all(|c| c.fleet.seed == 2));
+        assert!(cells.iter().take(4).all(|c| c.run.fleet.seed == 1));
+        assert!(cells.iter().skip(4).all(|c| c.run.fleet.seed == 2));
     }
 
     #[test]
@@ -717,14 +730,5 @@ mod tests {
             )],
         };
         assert_eq!(spec.build().name(), "token-bucket");
-    }
-
-    #[test]
-    fn policy_kind_axis_resolves_through_scheduler_specs() {
-        // Guard the idiom the CLI uses: every PolicyKind has a SchedulerSpec form.
-        for policy in PolicyKind::all() {
-            let spec = SchedulerSpec::from(policy);
-            assert!(!spec.name().is_empty());
-        }
     }
 }

@@ -138,9 +138,10 @@ impl<W: io::Write> JsonlSink<W> {
 
     /// Write one arbitrary JSON value as its own line, with the same
     /// latched-error discipline as record writes.  This is the framing
-    /// seam the flight recorder ([`crate::replay::RecorderSink`]) uses for
-    /// its header lines: headers and records share one writer, one line
-    /// counter and one error latch.
+    /// seam of the flight recorder ([`crate::replay`]): one
+    /// [`crate::replay::FlightHeader`] line before each run's records, so
+    /// headers and records share one writer, one line counter and one
+    /// error latch.
     pub fn write_value(&mut self, value: &crate::json::JsonValue) {
         match writeln!(self.out, "{value}") {
             Ok(()) => self.lines += 1,

@@ -17,23 +17,44 @@
 //! the event count must not add a single allocation.  If this test fails
 //! after an engine change, something started allocating per event; run
 //! `sx_lint` to find it, or hoist the buffer into `SimScratch`.
+//!
+//! Counts are kept per thread: the test harness runs tests on parallel
+//! threads (and spawns the next test's thread while one is mid-window),
+//! and a process-wide count would charge their allocations to whichever
+//! window happens to be open.  Every counted window here runs on the test's
+//! own thread — the sweep tests use `threads = 1`, the serial oracle.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use split_exec::SplitExecConfig;
 use sx_cluster::prelude::*;
 
-/// Counts every allocation and reallocation; frees are not interesting
-/// (a free can't grow the heap, and counting it would double-charge
-/// buffer growth).
+/// Counts every allocation and reallocation on the allocating thread;
+/// frees are not interesting (a free can't grow the heap, and counting it
+/// would double-charge buffer growth).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's allocation count.  Const-initialized and drop-free,
+    /// so bumping it from inside the allocator never allocates itself.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread's final deallocations-turned-reallocations can
+    // run after its thread-locals are torn down; those go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has performed so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -42,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,7 +74,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Allocations performed by one full simulate call (everything else —
 /// workload generation, fleet construction, scheduler build — happens
 /// outside the counted window).
-fn allocations_for(policy: PolicyKind, jobs: usize) -> usize {
+fn allocations_for(policy: &SchedulerSpec, jobs: usize) -> usize {
     // The cache is bounded (with room for every distinct topology) so its
     // buffers are pre-sized at construction: an *unbounded* warm cache
     // grows with the distinct topologies each device happens to see, and
@@ -80,7 +101,7 @@ fn allocations_for(policy: PolicyKind, jobs: usize) -> usize {
     }
     let mut scheduler = policy.build();
     let mut sink = NullSink;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let report = simulate_with_telemetry(
         fleet,
         &workload,
@@ -90,7 +111,7 @@ fn allocations_for(policy: PolicyKind, jobs: usize) -> usize {
         &mut sink,
         None,
     );
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         report.records.len(),
         jobs,
@@ -102,10 +123,10 @@ fn allocations_for(policy: PolicyKind, jobs: usize) -> usize {
 /// One throwaway run so lazily-initialized process state (allocator
 /// internals, thread-locals) is paid for before any counted window opens.
 fn warmup() {
-    let _ = allocations_for(PolicyKind::Fifo, 20);
+    let _ = allocations_for(&SchedulerSpec::Fifo, 20);
 }
 
-fn assert_constant_in_n(policy: PolicyKind) {
+fn assert_constant_in_n(policy: &SchedulerSpec) {
     warmup();
     let at_n = allocations_for(policy, 200);
     let at_2n = allocations_for(policy, 400);
@@ -119,24 +140,27 @@ fn assert_constant_in_n(policy: PolicyKind) {
 
 #[test]
 fn fifo_dispatch_loop_allocates_independently_of_event_count() {
-    assert_constant_in_n(PolicyKind::Fifo);
+    assert_constant_in_n(&SchedulerSpec::Fifo);
 }
 
 #[test]
 fn wfq_dispatch_loop_allocates_independently_of_event_count() {
-    assert_constant_in_n(PolicyKind::WeightedFair);
+    assert_constant_in_n(&SchedulerSpec::WeightedFair {
+        weights: Vec::new(),
+        lane_order: LaneOrder::default(),
+    });
 }
 
 #[test]
 fn edf_dispatch_loop_allocates_independently_of_event_count() {
-    assert_constant_in_n(PolicyKind::EarliestDeadline);
+    assert_constant_in_n(&SchedulerSpec::EarliestDeadlineFirst);
 }
 
 #[test]
 fn allocation_count_is_deterministic_run_to_run() {
     warmup();
-    let first = allocations_for(PolicyKind::Fifo, 200);
-    let second = allocations_for(PolicyKind::Fifo, 200);
+    let first = allocations_for(&SchedulerSpec::Fifo, 200);
+    let second = allocations_for(&SchedulerSpec::Fifo, 200);
     assert_eq!(
         first, second,
         "identical runs must perform identical allocation sequences"
@@ -145,8 +169,9 @@ fn allocation_count_is_deterministic_run_to_run() {
 
 // --- the sweep runner's allocation budget ------------------------------
 //
-// `run_sweep`'s per-cell body (`sweep::run_cell`, marked hot-root for
-// sx_lint's A-rules) wraps the same engine the tests above budget.  Its
+// `run_sweep`'s per-cell body (`sweep::run_cell`, around
+// `RunSpec::simulate`, marked hot-root for sx_lint's A-rules) wraps the
+// same engine the tests above budget.  Its
 // contract: the runner adds NOTHING per cell beyond the cell body itself —
 // collection and merging are per-sweep constants — so the per-cell
 // steady-state allocation count is unchanged under the sweep runner.
@@ -165,25 +190,27 @@ use std::sync::Arc;
 fn sweep_cell(jobs: usize) -> CellSpec {
     CellSpec {
         label: "alloc-budget".to_string(),
-        seed: 11,
-        fleet: FleetConfig {
-            qpus: 4,
-            seed: 11,
-            cache_capacity: Some(8),
-            ..FleetConfig::default()
-        },
-        scheduler: SchedulerSpec::Fifo,
-        admission: AdmissionSpec::AdmitAll,
-        config: SimConfig::default(),
         sample_interval: 5.0,
-        workload: Arc::new(WorkloadSpec::repeated_topologies(jobs, 2.0, 11).generate()),
+        run: RunSpec {
+            seed: 11,
+            fleet: FleetConfig {
+                qpus: 4,
+                seed: 11,
+                cache_capacity: Some(8),
+                ..FleetConfig::default()
+            },
+            scheduler: SchedulerSpec::Fifo,
+            admission: AdmissionSpec::AdmitAll,
+            config: SimConfig::default(),
+            workload: Arc::new(WorkloadSpec::repeated_topologies(jobs, 2.0, 11).generate()),
+        },
     }
 }
 
 fn allocations_for_sweep(cells: &[CellSpec]) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let outcome = run_sweep(cells, 1);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(outcome.cells.len(), cells.len());
     after - before
 }
@@ -222,9 +249,9 @@ fn sweep_cell_body_matches_direct_execution() {
 
     // The cell body run directly, outside the runner.
     let mut sink = NullSink;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let direct_result = sx_cluster::sweep::run_cell(0, &cell, &mut sink);
-    let direct = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let direct = allocations() - before;
 
     // The same cell as the marginal cost of one more cell in a sweep: the
     // merged sketches already span the (identical) cell's bucket range

@@ -140,8 +140,8 @@ fn cost_model_memo_population_order_is_invisible() {
             }
         }
         let workload = WorkloadSpec::repeated_topologies(25, 0.8, 13).generate();
-        let mut scheduler = PolicyKind::ShortestPredictedFirst.build();
-        simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
+        let mut scheduler = ShortestPredictedFirst::default();
+        simulate(fleet, &workload, &mut scheduler, SimConfig::default())
     };
     let ascending = run(&sizes);
     let descending = run(&sizes.iter().rev().copied().collect::<Vec<_>>());

@@ -5,47 +5,36 @@
 //! never a panic (the `sx_lint` H003 contract extends to parsing
 //! adversarial files).
 
-use split_exec::SplitExecConfig;
-use sx_cluster::prelude::*;
+use std::sync::Arc;
 
-fn fleet_config(seed: u64) -> FleetConfig {
-    FleetConfig {
-        qpus: 2,
-        seed,
-        ..FleetConfig::default()
-    }
-}
+use sx_cluster::prelude::*;
 
 fn workload(seed: u64) -> Workload {
     WorkloadSpec::repeated_topologies(16, 1.5, seed).generate()
 }
 
+/// One small run recipe.
+fn recipe(seed: u64, scheduler: SchedulerSpec, admission: AdmissionSpec) -> RunSpec {
+    RunSpec {
+        seed,
+        fleet: FleetConfig {
+            qpus: 2,
+            seed,
+            ..FleetConfig::default()
+        },
+        scheduler,
+        admission,
+        config: SimConfig::default(),
+        workload: Arc::new(workload(seed)),
+    }
+}
+
 /// Record one real run into a string and hand back its flight record.
 fn recorded(seed: u64) -> String {
-    let config = SimConfig::default();
-    let workload = workload(seed);
-    let spec = SchedulerSpec::CacheAffinity;
-    let header = FlightHeader::new(
-        seed,
-        spec.clone(),
-        "admit-all",
-        fleet_config(seed),
-        config,
-        workload.clone(),
-    );
-    let mut recorder = RecorderSink::new(Vec::new());
-    recorder.begin_run(&header);
-    let fleet = Fleet::new(fleet_config(seed), SplitExecConfig::with_seed(seed));
-    let mut scheduler = spec.build();
-    simulate_with_telemetry(
-        fleet,
-        &workload,
-        scheduler.as_mut(),
-        &mut AdmitAll,
-        config,
-        &mut recorder,
-        None,
-    );
+    let run = recipe(seed, SchedulerSpec::CacheAffinity, AdmissionSpec::AdmitAll);
+    let mut recorder = JsonlSink::new(Vec::new());
+    recorder.write_value(&FlightHeader::new(&run).to_json());
+    run.simulate(&mut recorder, None);
     let (bytes, _) = recorder.finish().expect("Vec<u8> writes cannot fail");
     String::from_utf8(bytes).expect("flight records are UTF-8")
 }
@@ -59,14 +48,14 @@ fn a_recorded_run_round_trips_and_replays_bit_identically() {
     assert_eq!(run.header.policy, "affinity");
     assert!(run.header.replayable());
 
-    let check = check_replay(run).expect("an admit-all run replays");
+    let check = check_replay(run, &mut NullSink).expect("an admit-all run replays");
     assert_eq!(check.compared, run.records.len());
     assert_eq!(check.divergence, None, "replay must be bit-identical");
 
     // Re-recording the parsed run reproduces the file byte-for-byte: the
     // JSON rendering is deterministic, so diffing records is diffing runs.
-    let mut recorder = RecorderSink::new(Vec::new());
-    recorder.begin_run(&run.header);
+    let mut recorder = JsonlSink::new(Vec::new());
+    recorder.write_value(&run.header.to_json());
     replay_run(run, &mut recorder).expect("replay under a recorder");
     let (bytes, _) = recorder.finish().expect("Vec<u8> writes cannot fail");
     assert_eq!(String::from_utf8(bytes).expect("UTF-8"), text);
@@ -185,23 +174,18 @@ fn tampered_records_keep_their_integrity_digests_honest() {
 
 #[test]
 fn token_bucket_segments_refuse_replay_with_a_typed_error() {
-    let seed = 23;
-    let config = SimConfig::default();
-    let workload = workload(seed);
-    let header = FlightHeader::new(
-        seed,
-        SchedulerSpec::Fifo,
-        "token-bucket",
-        fleet_config(seed),
-        config,
-        workload,
-    );
+    let gate = AdmissionSpec::TokenBucket {
+        default: TokenBucketConfig::default(),
+        per_tenant: Vec::new(),
+    };
+    let header = FlightHeader::new(&recipe(23, SchedulerSpec::Fifo, gate));
+    assert_eq!(header.admission, "token-bucket");
     assert!(!header.replayable());
     let run = RecordedRun {
         header,
         records: Vec::new(),
     };
-    match check_replay(&run) {
+    match check_replay(&run, &mut NullSink) {
         Err(ReplayError::UnsupportedAdmission { admission }) => {
             assert_eq!(admission, "token-bucket");
         }

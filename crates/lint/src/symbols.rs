@@ -283,16 +283,24 @@ const KEYWORDS: [&str; 14] = [
     "move", "mut",
 ];
 
+/// Primitive type names: lowercase, yet a `u64::from(…)` path through one
+/// is a type-qualified call, not a module path.
+const PRIMITIVES: [&str; 17] = [
+    "bool", "char", "str", "f32", "f64", "i8", "i16", "i32", "i64", "i128", "isize", "u8", "u16",
+    "u32", "u64", "u128", "usize",
+];
+
 /// Token-level call sites in `f`'s body, resolved against the whole index.
 ///
 /// Resolution depends on the shape of the call site:
 ///
-/// * **Qualified calls** (`Type::name(…)`, uppercase-first path segment
-///   before the `::`) resolve *exactly*: to the workspace functions whose
-///   qualified name is `Type::name`, or to **nothing** when that type has
-///   no such indexed method — `Vec::new(…)` / `String::from(…)` are
-///   foreign-type calls, not edges to every workspace `new`.  `Self::`
-///   stands for the enclosing impl type.
+/// * **Qualified calls** (`Type::name(…)`, uppercase-first or primitive
+///   path segment before the `::`) resolve *exactly*: to the workspace
+///   functions whose qualified name is `Type::name`, or to **nothing** when
+///   that type has no such indexed method — `Vec::new(…)` /
+///   `String::from(…)` / `u64::from(…)` are foreign-type calls, not edges
+///   to every workspace `new` or `from`.  `Self::` stands for the
+///   enclosing impl type.
 /// * **Everything else** (bare `name(…)`, method `.name(…)`, lowercase
 ///   module paths `cost::predict(…)`) resolves to *every* workspace
 ///   function with that bare name — method receivers are not type-checked,
@@ -342,7 +350,9 @@ fn call_edges(
                     let type_prefix = if sep.ends_with("::") {
                         if prev_word == "Self" {
                             impl_type
-                        } else if prev_word.starts_with(char::is_uppercase) {
+                        } else if prev_word.starts_with(char::is_uppercase)
+                            || PRIMITIVES.contains(&prev_word.as_str())
+                        {
                             Some(prev_word.as_str())
                         } else {
                             None
@@ -443,6 +453,22 @@ mod tests {
             "fn caller() {\n    Widget::build();\n}\nimpl Widget {\n    fn build(&self) {}\n}\nimpl Gadget {\n    fn build(&self) {}\n}\n",
         );
         assert_eq!(callees_of(&idx, "caller"), ["Widget::build"]);
+    }
+
+    #[test]
+    fn primitive_type_calls_resolve_exactly_not_by_bare_name() {
+        // `u64::from(…)` is a conversion on a primitive, not a module path:
+        // it must not fan out to every workspace `from`.
+        let idx = index(
+            "fn caller() {\n    let n = u64::from(true);\n    cost::from(1);\n}\nimpl Widget {\n    fn from(x: bool) -> Self {\n        Widget\n    }\n}\n",
+        );
+        // The lowercase module path still fans out; the primitive does not
+        // add a second edge of its own.
+        assert_eq!(callees_of(&idx, "caller"), ["Widget::from"]);
+        let idx = index(
+            "fn caller() {\n    let n = u64::from(true);\n}\nimpl Widget {\n    fn from(x: bool) -> Self {\n        Widget\n    }\n}\n",
+        );
+        assert!(callees_of(&idx, "caller").is_empty());
     }
 
     #[test]

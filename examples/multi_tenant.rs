@@ -54,7 +54,7 @@ fn main() {
         ..spec.clone()
     }
     .generate();
-    let mut fifo = PolicyKind::Fifo.build();
+    let mut fifo = SchedulerSpec::Fifo.build();
     let isolated = simulate(
         fleet(seed),
         &isolated_workload,
@@ -67,7 +67,7 @@ fn main() {
     );
 
     // 1. FIFO: one queue, no tenancy — the flood wins.
-    let mut fifo = PolicyKind::Fifo.build();
+    let mut fifo = SchedulerSpec::Fifo.build();
     let fifo_report = simulate(fleet(seed), &workload, fifo.as_mut(), SimConfig::default());
     println!("{fifo_report}\n");
 

@@ -17,7 +17,7 @@ fn fleet(qpus: usize, seed: u64) -> Fleet {
     )
 }
 
-fn run(policy: PolicyKind, workload: &Workload, qpus: usize, seed: u64) -> SimReport {
+fn run(policy: &SchedulerSpec, workload: &Workload, qpus: usize, seed: u64) -> SimReport {
     let mut scheduler = policy.build();
     simulate(
         fleet(qpus, seed),
@@ -34,8 +34,8 @@ fn run(policy: PolicyKind, workload: &Workload, qpus: usize, seed: u64) -> SimRe
 #[test]
 fn affinity_beats_fifo_on_the_seeded_repeated_mix() {
     let workload = WorkloadSpec::repeated_topologies(60, 1.0, 7).generate();
-    let fifo = run(PolicyKind::Fifo, &workload, 4, 7);
-    let affinity = run(PolicyKind::CacheAffinity, &workload, 4, 7);
+    let fifo = run(&SchedulerSpec::Fifo, &workload, 4, 7);
+    let affinity = run(&SchedulerSpec::CacheAffinity, &workload, 4, 7);
 
     assert_eq!(fifo.completed, 60);
     assert_eq!(affinity.completed, 60);
@@ -56,7 +56,7 @@ fn affinity_beats_fifo_on_the_seeded_repeated_mix() {
 #[test]
 fn fleet_scale_breakdown_reproduces_stage1_dominance() {
     let workload = WorkloadSpec::mixed(40, 0.8, 3).generate();
-    for policy in PolicyKind::all() {
+    for policy in &SchedulerSpec::all() {
         let report = run(policy, &workload, 3, 3);
         assert!(report.completed > 0);
         assert!(
@@ -76,7 +76,7 @@ fn fleet_scale_breakdown_reproduces_stage1_dominance() {
 #[test]
 fn simulation_is_deterministic_end_to_end() {
     let spec = WorkloadSpec::bursty(50, 1.2, 5, 19);
-    for policy in PolicyKind::all() {
+    for policy in &SchedulerSpec::all() {
         let a = run(policy, &spec.generate(), 4, 19);
         let b = run(policy, &spec.generate(), 4, 19);
         assert_eq!(a, b, "policy {policy} is not deterministic");
@@ -101,7 +101,7 @@ fn cluster_and_batch_reports_share_one_summary_format() {
 
     // ...and a simulated cluster run produce the same struct.
     let workload = WorkloadSpec::repeated_topologies(10, 1.0, 5).generate();
-    let cluster: BatchSummary = run(PolicyKind::CacheAffinity, &workload, 2, 5).batch_summary();
+    let cluster: BatchSummary = run(&SchedulerSpec::CacheAffinity, &workload, 2, 5).batch_summary();
 
     for summary in [batch, cluster] {
         assert_eq!(summary.succeeded + summary.failed, summary.jobs);
@@ -134,7 +134,7 @@ fn oversized_jobs_are_rejected_cleanly() {
             deadline: None,
         },
     ]);
-    let report = run(PolicyKind::Fifo, &workload, 2, 1);
+    let report = run(&SchedulerSpec::Fifo, &workload, 2, 1);
     assert_eq!(report.rejected, 1);
     assert_eq!(report.completed, 1);
     assert_eq!(report.records[0].job, 1);
@@ -177,7 +177,7 @@ fn bounded_caches_exhibit_the_hit_rate_cliff() {
                 .with_cache(capacity, eviction),
                 SplitExecConfig::with_seed(11),
             );
-            let mut scheduler = PolicyKind::Fifo.build();
+            let mut scheduler = SchedulerSpec::Fifo.build();
             let report = simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default());
             series
                 .points
@@ -223,7 +223,7 @@ fn bounded_caches_exhibit_the_hit_rate_cliff() {
 #[test]
 fn heterogeneous_fleet_completes_and_replays_deterministically() {
     let workload = WorkloadSpec::repeated_topologies(40, 1.0, 13).generate();
-    for policy in PolicyKind::all() {
+    for policy in &SchedulerSpec::all() {
         let run = || {
             let fleet = Fleet::new(
                 FleetConfig::heterogeneous(4, 13),
@@ -291,11 +291,11 @@ fn wfq_bounds_the_victim_p99_under_an_aggressor() {
         ..spec.clone()
     };
     let isolated_workload = isolated_spec.generate();
-    let isolated = run(PolicyKind::Fifo, &isolated_workload, 3, seed);
+    let isolated = run(&SchedulerSpec::Fifo, &isolated_workload, 3, seed);
     let isolated_p99 = isolated.latency.p99;
     assert!(isolated_p99 > 0.0);
 
-    let fifo = run(PolicyKind::Fifo, &workload, 3, seed);
+    let fifo = run(&SchedulerSpec::Fifo, &workload, 3, seed);
     let mut wfq_policy = WeightedFairQueue::for_workload(&workload);
     let wfq = simulate(
         fleet(3, seed),
@@ -458,7 +458,7 @@ fn second_chance_cache_admission_helps_on_low_repetition_mixes() {
             .with_cache_admission(admission),
             SplitExecConfig::with_seed(13),
         );
-        let mut scheduler = PolicyKind::Fifo.build();
+        let mut scheduler = SchedulerSpec::Fifo.build();
         simulate(fleet, &workload, scheduler.as_mut(), SimConfig::default())
     };
     let always = run(sx_cluster::AdmissionPolicy::Always);
@@ -724,11 +724,11 @@ fn slo_fields_export_to_json() {
 #[test]
 fn closed_loop_completes_the_stream() {
     let workload = WorkloadSpec::repeated_topologies(30, 1.0, 9).generate();
-    let mut scheduler = PolicyKind::ShortestPredictedFirst.build();
+    let mut scheduler = ShortestPredictedFirst::default();
     let report = simulate(
         fleet(2, 9),
         &workload,
-        scheduler.as_mut(),
+        &mut scheduler,
         SimConfig {
             mode: WorkloadMode::Closed { clients: 3 },
             percentiles: PercentileMode::Exact,
