@@ -42,6 +42,24 @@
 //!
 //! [`SchedulerSpec`] names a policy together with its knobs; it is how
 //! every caller outside the engine selects and rebuilds one.
+//!
+//! # Per-call cost
+//!
+//! The engine hands every call the whole queue, which under overload holds
+//! thousands of jobs, so a call's cost is its queue scan.  [`Fifo`] reads
+//! only the head.  [`CacheAffinity`] decides each job from its
+//! `(topology_key, lps)` class alone, so it scans the queue once and looks
+//! every class up in a stack memo that lives for one call (`ClassMemo`):
+//! one fleet scan per distinct class instead of one per queued job.
+//! [`EarliestDeadlineFirst`] scans the queue once and the fleet once per
+//! job that would beat its best deadline so far.  [`WeightedFairQueue`]
+//! scans the queue once for lane heads and the fleet once per lane head it
+//! tries.  [`ShortestPredictedFirst`] scans queue × idle devices and has
+//! no memo: its score `predicted − aging_weight · age` differs per job, and
+//! a per-class minimum prediction would not give the same answer — two
+//! devices whose predictions differ can score equal once `w·age` is
+//! subtracted and rounded, and the scan then keeps the lower device id
+//! where a folded class minimum keeps the faster device.
 
 use crate::fleet::Fleet;
 use crate::job::Job;
@@ -221,100 +239,195 @@ impl Scheduler for CacheAffinity {
         if !fleet.devices.iter().any(|d| d.is_idle(now)) {
             return None;
         }
-
-        // Pass 1: oldest job whose topology is warm on an idle device.
-        // Among the idle candidates the job takes the device with the
-        // smallest *predicted* service, not blindly the warm one — in a
-        // heterogeneous fleet a fast cold device can beat a slow warm one,
-        // and the prediction already prices both warmth and device speed.
+        // The policy has two passes: the oldest job that is warm on an
+        // idle device goes first ([`warm_placement`]); failing that, the
+        // oldest job with a cold placement ([`cold_placement`]).  Both
+        // decisions depend only on the job's class, so one queue-order scan
+        // answers both: it returns at the first warm placement and keeps
+        // the first cold one as the fallback.  A class's cold placement is
+        // only computed while no fallback is known — a class first met
+        // after that can never supply it.
+        let mut memo = ClassMemo::new();
+        let mut fallback: Option<(usize, usize)> = None;
         for (qi, job) in queue.iter().enumerate() {
-            let warm_idle = fleet
-                .devices
-                .iter()
-                .any(|d| d.is_idle(now) && d.can_run(job.lps) && d.is_warm(job.topology_key));
-            if !warm_idle {
-                continue;
-            }
-            if let Some((_, d)) = fastest_idle_device(fleet, now, job) {
-                return Some((qi, d));
-            }
-        }
-
-        // Pass 2: place a job that must embed cold anyway.  Prefer the
-        // device predicted fastest for it (speed matters when generations
-        // differ), but treat devices within a relative band of the fastest
-        // as equivalent — fault-map noise makes exact f64 costs unique, and
-        // a strict minimum would funnel every cold job to the single
-        // lowest-fault device.  Within the band, prefer the
-        // least-specialized cache so caches partition the topology space
-        // instead of all devices learning everything.
-        for (qi, job) in queue.iter().enumerate() {
-            let warm_somewhere = fleet
-                .devices
-                .iter()
-                .any(|dev| dev.is_warm(job.topology_key));
-            if warm_somewhere {
-                // Its warm device is busy (pass 1 would have taken it).
-                // Wait for that device only when wait + warm service is
-                // predicted to finish sooner than re-embedding cold on an
-                // idle one.
-                let warm_finish = fleet
-                    .devices
-                    .iter()
-                    .filter(|dev| dev.is_warm(job.topology_key) && dev.can_run(job.lps))
-                    .filter_map(|dev| {
-                        let warm_service = dev
-                            .predicted_service_seconds(job.lps, job.topology_key)
-                            .ok()?;
-                        Some((dev.busy_until - now).max(0.0) + warm_service)
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                let cold_cost = fleet
-                    .devices
-                    .iter()
-                    .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
-                    .filter_map(|dev| {
-                        dev.predicted_service_seconds(job.lps, job.topology_key)
-                            .ok()
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                if warm_finish < cold_cost {
-                    continue; // hold this job for its warm device
-                }
-            }
-            // Two passes over the fleet instead of a collected candidate
-            // `Vec`: first the fastest prediction, then the in-band device
-            // with the fewest warm topologies (ties by id; strict `<`
-            // keeps the first, matching the old `min_by` on unique keys).
-            let fastest = fleet
-                .devices
-                .iter()
-                .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
-                .filter_map(|dev| {
-                    dev.predicted_service_seconds(job.lps, job.topology_key)
-                        .ok()
-                })
-                .fold(f64::INFINITY, f64::min);
-            let mut placement: Option<(usize, usize)> = None; // (warm count, id)
-            for dev in &fleet.devices {
-                if !dev.is_idle(now) || !dev.can_run(job.lps) {
-                    continue;
-                }
-                let Ok(predicted) = dev.predicted_service_seconds(job.lps, job.topology_key) else {
-                    continue;
+            let need_cold = fallback.is_none();
+            let class = memo.class_value(job, || {
+                let warm = warm_placement(fleet, now, job);
+                let cold = if need_cold && warm.is_none() {
+                    cold_placement(fleet, now, job)
+                } else {
+                    None
                 };
-                if predicted <= fastest * COLD_SPEED_BAND {
-                    let key = (dev.warm_topologies(), dev.id);
-                    if placement.map(|cur| key < cur).unwrap_or(true) {
-                        placement = Some(key);
-                    }
-                }
-            }
-            if let Some((_, d)) = placement {
+                AffinityClass { warm, cold }
+            });
+            if let Some(d) = class.warm {
                 return Some((qi, d));
             }
+            if fallback.is_none() {
+                fallback = class.cold.map(|d| (qi, d));
+            }
         }
-        None
+        fallback
+    }
+}
+
+/// [`CacheAffinity`]'s two decisions for one job class within one call.
+#[derive(Debug, Clone, Copy)]
+struct AffinityClass {
+    /// Pass 1 ([`warm_placement`]).
+    warm: Option<usize>,
+    /// Pass 2 ([`cold_placement`]); left `None` when the scan already had
+    /// its fallback as the class was first met.
+    cold: Option<usize>,
+}
+
+/// [`CacheAffinity`]'s pass 1: when the job's topology is warm on an idle
+/// device that can run it, the idle device with the smallest *predicted*
+/// service — not blindly the warm one: in a heterogeneous fleet a fast cold
+/// device can beat a slow warm one, and the prediction already prices both
+/// warmth and device speed.
+fn warm_placement(fleet: &Fleet, now: f64, job: &Job) -> Option<usize> {
+    let warm_idle = fleet
+        .devices
+        .iter()
+        .any(|d| d.is_idle(now) && d.can_run(job.lps) && d.is_warm(job.topology_key));
+    if !warm_idle {
+        return None;
+    }
+    fastest_idle_device(fleet, now, job).map(|(_, d)| d)
+}
+
+/// [`CacheAffinity`]'s pass 2: place a job that must embed cold anyway, or
+/// `None` to hold it for its busy warm device (or when nothing fits).
+///
+/// Prefer the device predicted fastest for it (speed matters when
+/// generations differ), but treat devices within a relative band of the
+/// fastest as equivalent — fault-map noise makes exact f64 costs unique,
+/// and a strict minimum would funnel every cold job to the single
+/// lowest-fault device.  Within the band, prefer the least-specialized
+/// cache so caches partition the topology space instead of all devices
+/// learning everything.
+fn cold_placement(fleet: &Fleet, now: f64, job: &Job) -> Option<usize> {
+    let warm_somewhere = fleet
+        .devices
+        .iter()
+        .any(|dev| dev.is_warm(job.topology_key));
+    if warm_somewhere {
+        // Its warm device is busy (pass 1 would have taken it).  Wait for
+        // that device only when wait + warm service is predicted to finish
+        // sooner than re-embedding cold on an idle one.
+        let warm_finish = fleet
+            .devices
+            .iter()
+            .filter(|dev| dev.is_warm(job.topology_key) && dev.can_run(job.lps))
+            .filter_map(|dev| {
+                let warm_service = dev
+                    .predicted_service_seconds(job.lps, job.topology_key)
+                    .ok()?;
+                Some((dev.busy_until - now).max(0.0) + warm_service)
+            })
+            .fold(f64::INFINITY, f64::min);
+        let cold_cost = fleet
+            .devices
+            .iter()
+            .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
+            .filter_map(|dev| {
+                dev.predicted_service_seconds(job.lps, job.topology_key)
+                    .ok()
+            })
+            .fold(f64::INFINITY, f64::min);
+        if warm_finish < cold_cost {
+            return None; // hold this job for its warm device
+        }
+    }
+    // Two passes over the fleet instead of a collected candidate `Vec`:
+    // first the fastest prediction, then the in-band device with the
+    // fewest warm topologies (ties by id; strict `<` keeps the first).
+    let fastest = fleet
+        .devices
+        .iter()
+        .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
+        .filter_map(|dev| {
+            dev.predicted_service_seconds(job.lps, job.topology_key)
+                .ok()
+        })
+        .fold(f64::INFINITY, f64::min);
+    let mut placement: Option<(usize, usize)> = None; // (warm count, id)
+    for dev in &fleet.devices {
+        if !dev.is_idle(now) || !dev.can_run(job.lps) {
+            continue;
+        }
+        let Ok(predicted) = dev.predicted_service_seconds(job.lps, job.topology_key) else {
+            continue;
+        };
+        if predicted <= fastest * COLD_SPEED_BAND {
+            let key = (dev.warm_topologies(), dev.id);
+            if placement.map(|cur| key < cur).unwrap_or(true) {
+                placement = Some(key);
+            }
+        }
+    }
+    placement.map(|(_, d)| d)
+}
+
+/// Slots of a [`ClassMemo`] table (a power of two).
+const MEMO_SLOTS: usize = 64;
+/// Classes a [`ClassMemo`] holds.  At most half the slots fill, so a
+/// lookup probes about one slot; a class met once the table is full is
+/// computed afresh at every lookup.
+const MEMO_CLASSES: usize = MEMO_SLOTS / 2;
+
+/// One memoized class: `(topology_key, lps, value)`.
+type ClassEntry<T> = (u64, usize, T);
+
+/// A per-call memo of placement decisions by job class.
+///
+/// Within one `next_assignment` call the fleet and the clock are fixed, so
+/// any decision that reads only the fleet, the clock and a job's
+/// `(topology_key, lps)` is the same for every queued job of that class.
+/// Under overload the queue holds thousands of jobs of a few dozen classes;
+/// the memo turns a fleet scan per queued job into one per class.
+///
+/// It lives on the caller's stack for one call — nothing to invalidate, no
+/// lock, no allocation.  The open-addressed table is built at the first
+/// lookup, so a call that looks nothing up pays nothing for it.
+struct ClassMemo<T> {
+    table: Option<[Option<ClassEntry<T>>; MEMO_SLOTS]>,
+    classes: usize,
+}
+
+impl<T: Copy> ClassMemo<T> {
+    fn new() -> Self {
+        Self {
+            table: None,
+            classes: 0,
+        }
+    }
+
+    /// The value for `job`'s class: computed by `compute` at its first
+    /// lookup, served from the memo afterwards.
+    fn class_value(&mut self, job: &Job, compute: impl FnOnce() -> T) -> T {
+        let (key, lps) = (job.topology_key, job.lps);
+        let table = self.table.get_or_insert([None; MEMO_SLOTS]);
+        // Fibonacci hashing: multiply by 2⁶⁴/φ and let the product's top
+        // bits pick the home slot, so hand-picked keys (1, 2, 3, …) spread.
+        let home = (key ^ lps as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> (u64::BITS - MEMO_SLOTS.trailing_zeros());
+        let mut slot = home as usize;
+        loop {
+            match table[slot] {
+                Some((k, l, value)) if (k, l) == (key, lps) => return value,
+                Some(_) => slot = (slot + 1) % MEMO_SLOTS,
+                None => {
+                    let value = compute();
+                    if self.classes < MEMO_CLASSES {
+                        table[slot] = Some((key, lps, value));
+                        self.classes += 1;
+                    }
+                    return value;
+                }
+            }
+        }
     }
 }
 
@@ -701,6 +814,132 @@ impl std::fmt::Display for SchedulerSpec {
     }
 }
 
+/// The scan [`CacheAffinity`] ran before the per-call [`ClassMemo`]: two
+/// full queue passes with a fleet scan per examined job.  The slow,
+/// obviously correct twin the differential test holds the fast path to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{fastest_idle_device, Scheduler, COLD_SPEED_BAND};
+    use crate::fleet::Fleet;
+    use crate::job::Job;
+
+    /// [`super::CacheAffinity`] as two full passes over the queue.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub(crate) struct CacheAffinity;
+
+    impl Scheduler for CacheAffinity {
+        fn name(&self) -> &'static str {
+            "affinity"
+        }
+
+        fn next_assignment(
+            &mut self,
+            queue: &[Job],
+            fleet: &Fleet,
+            now: f64,
+        ) -> Option<(usize, usize)> {
+            if !fleet.devices.iter().any(|d| d.is_idle(now)) {
+                return None;
+            }
+
+            // Pass 1: oldest job whose topology is warm on an idle device.
+            // Among the idle candidates the job takes the device with the
+            // smallest *predicted* service, not blindly the warm one — in a
+            // heterogeneous fleet a fast cold device can beat a slow warm one,
+            // and the prediction already prices both warmth and device speed.
+            for (qi, job) in queue.iter().enumerate() {
+                let warm_idle = fleet
+                    .devices
+                    .iter()
+                    .any(|d| d.is_idle(now) && d.can_run(job.lps) && d.is_warm(job.topology_key));
+                if !warm_idle {
+                    continue;
+                }
+                if let Some((_, d)) = fastest_idle_device(fleet, now, job) {
+                    return Some((qi, d));
+                }
+            }
+
+            // Pass 2: place a job that must embed cold anyway.  Prefer the
+            // device predicted fastest for it (speed matters when generations
+            // differ), but treat devices within a relative band of the fastest
+            // as equivalent — fault-map noise makes exact f64 costs unique, and
+            // a strict minimum would funnel every cold job to the single
+            // lowest-fault device.  Within the band, prefer the
+            // least-specialized cache so caches partition the topology space
+            // instead of all devices learning everything.
+            for (qi, job) in queue.iter().enumerate() {
+                let warm_somewhere = fleet
+                    .devices
+                    .iter()
+                    .any(|dev| dev.is_warm(job.topology_key));
+                if warm_somewhere {
+                    // Its warm device is busy (pass 1 would have taken it).
+                    // Wait for that device only when wait + warm service is
+                    // predicted to finish sooner than re-embedding cold on an
+                    // idle one.
+                    let warm_finish = fleet
+                        .devices
+                        .iter()
+                        .filter(|dev| dev.is_warm(job.topology_key) && dev.can_run(job.lps))
+                        .filter_map(|dev| {
+                            let warm_service = dev
+                                .predicted_service_seconds(job.lps, job.topology_key)
+                                .ok()?;
+                            Some((dev.busy_until - now).max(0.0) + warm_service)
+                        })
+                        .fold(f64::INFINITY, f64::min);
+                    let cold_cost = fleet
+                        .devices
+                        .iter()
+                        .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
+                        .filter_map(|dev| {
+                            dev.predicted_service_seconds(job.lps, job.topology_key)
+                                .ok()
+                        })
+                        .fold(f64::INFINITY, f64::min);
+                    if warm_finish < cold_cost {
+                        continue; // hold this job for its warm device
+                    }
+                }
+                // Two passes over the fleet instead of a collected candidate
+                // `Vec`: first the fastest prediction, then the in-band device
+                // with the fewest warm topologies (ties by id; strict `<`
+                // keeps the first, matching the old `min_by` on unique keys).
+                let fastest = fleet
+                    .devices
+                    .iter()
+                    .filter(|dev| dev.is_idle(now) && dev.can_run(job.lps))
+                    .filter_map(|dev| {
+                        dev.predicted_service_seconds(job.lps, job.topology_key)
+                            .ok()
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                let mut placement: Option<(usize, usize)> = None; // (warm count, id)
+                for dev in &fleet.devices {
+                    if !dev.is_idle(now) || !dev.can_run(job.lps) {
+                        continue;
+                    }
+                    let Ok(predicted) = dev.predicted_service_seconds(job.lps, job.topology_key)
+                    else {
+                        continue;
+                    };
+                    if predicted <= fastest * COLD_SPEED_BAND {
+                        let key = (dev.warm_topologies(), dev.id);
+                        if placement.map(|cur| key < cur).unwrap_or(true) {
+                            placement = Some(key);
+                        }
+                    }
+                }
+                if let Some((_, d)) = placement {
+                    return Some((qi, d));
+                }
+            }
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,6 +982,99 @@ mod tests {
         Job {
             tenant: crate::tenant::TenantId(tenant),
             ..job(id, lps, key)
+        }
+    }
+
+    /// A random dispatch situation: a homogeneous or heterogeneous fleet
+    /// with busy, idle and capacity-limited devices and pre-warmed caches,
+    /// and a queue drawn from `classes` `(topology_key, lps)` classes — the
+    /// same key recurs with different sizes, and the class count runs past
+    /// what one [`ClassMemo`] holds.
+    fn dispatch_situation(seed: u64, classes: usize, jobs: usize) -> (Fleet, Vec<Job>, f64) {
+        use rand::Rng;
+        use rand_chacha::rand_core::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let qpus = rng.gen_range(1..=5usize);
+        let config = if rng.gen_bool(0.5) {
+            crate::FleetConfig::heterogeneous(qpus, seed)
+        } else {
+            crate::FleetConfig {
+                qpus,
+                seed,
+                ..crate::FleetConfig::default()
+            }
+        };
+        let config = if rng.gen_bool(0.5) {
+            config.with_cache(rng.gen_range(1..=3usize), crate::EvictionPolicyKind::Lru)
+        } else {
+            config
+        };
+        let mut fleet = Fleet::new(config, SplitExecConfig::with_seed(seed));
+        let keys = rng.gen_range(1..=classes as u64);
+        let universe: Vec<(u64, usize)> = (0..classes)
+            .map(|_| (rng.gen_range(0..keys), rng.gen_range(4..=52usize)))
+            .collect();
+        let now = rng.gen_range(0.0..50.0);
+        for device in &mut fleet.devices {
+            device.busy_until = match rng.gen_range(0..3u32) {
+                0 => now,
+                1 => now - rng.gen_range(0.0..10.0),
+                _ => now + rng.gen_range(0.0..40.0),
+            };
+            if rng.gen_bool(0.3) {
+                device.capacity_lps = rng.gen_range(4..=device.capacity_lps.max(4));
+            }
+            for _ in 0..rng.gen_range(0..4usize) {
+                let (key, lps) = universe[rng.gen_range(0..classes)];
+                device.mark_warm(key, lps);
+            }
+        }
+        let queue = (0..jobs)
+            .map(|id| {
+                let (key, lps) = universe[rng.gen_range(0..classes)];
+                job(id, lps, key)
+            })
+            .collect();
+        (fleet, queue, now)
+    }
+
+    #[test]
+    fn class_memo_computes_each_class_once_up_to_its_capacity() {
+        let mut memo = ClassMemo::new();
+        let mut computed = 0;
+        // MEMO_CLASSES classes fit; each further class is recomputed at
+        // every lookup.  The same key with another size is another class.
+        let classes = MEMO_CLASSES + 4;
+        for round in 0..3 {
+            for class in 0..classes {
+                let lookup = job(class, 4 + class % 2, (class / 2) as u64);
+                let value = memo.class_value(&lookup, || {
+                    computed += 1;
+                    class
+                });
+                assert_eq!(value, class, "round {round}");
+            }
+        }
+        assert_eq!(computed, classes + 2 * (classes - MEMO_CLASSES));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The memoized single-scan affinity policy answers every call
+        /// exactly as the reference two-pass scan does.
+        #[test]
+        fn memoized_affinity_matches_the_reference_scan(
+            seed in 0u64..u64::MAX,
+            classes in 1usize..3 * MEMO_CLASSES,
+            jobs in 0usize..160,
+        ) {
+            let (fleet, queue, now) = dispatch_situation(seed, classes, jobs);
+            proptest::prop_assert_eq!(
+                CacheAffinity.next_assignment(&queue, &fleet, now),
+                reference::CacheAffinity.next_assignment(&queue, &fleet, now),
+                "seed {}", seed
+            );
         }
     }
 

@@ -41,6 +41,7 @@ use crate::telemetry::{MetricsRegistry, SimSeries, StreamingHistogram, TraceSink
 use crate::tenant::{TenantId, TenantMeta};
 use crate::workload::Workload;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// How the workload's jobs are released into the system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -200,7 +201,12 @@ pub fn simulate_with_admission(
 /// behavior dynamically with a counting allocator.
 struct SimScratch {
     events: EventQueue,
-    queue: Vec<Job>,
+    /// The dispatch queue in arrival order.  A deque, so removing the
+    /// dispatched job shifts the shorter side (`min(qi, n − qi)` jobs) instead
+    /// of every job behind it; the scheduler sees it as one slice through
+    /// `make_contiguous`, which moves elements only when pushes have wrapped
+    /// past the buffer's end.
+    queue: VecDeque<Job>,
     queue_depth: Vec<(f64, usize)>,
     records: Vec<JobRecord>,
     in_flight: Vec<Option<JobRecord>>,
@@ -232,7 +238,7 @@ impl SimScratch {
         let jobs = workload.len();
         Self {
             events: EventQueue::with_capacity(jobs + fleet.devices.len() + 1),
-            queue: Vec::with_capacity(jobs),
+            queue: VecDeque::with_capacity(jobs),
             queue_depth: Vec::with_capacity(2 * jobs + 1),
             records: Vec::with_capacity(jobs),
             in_flight: vec![None; jobs],
@@ -401,7 +407,7 @@ pub fn simulate_with_telemetry(
                         AdmissionDecision::Accept => {
                             tenant_depth[lane] += 1;
                             tenant_depth_max[lane] = tenant_depth_max[lane].max(tenant_depth[lane]);
-                            queue.push(job);
+                            queue.push_back(job);
                         }
                         // A defer that does not advance the clock would loop
                         // forever; shedding is the only safe fallback.
@@ -461,8 +467,13 @@ pub fn simulate_with_telemetry(
         }
 
         // Let the policy fill every idle device it wants to.
-        while let Some((qi, d)) = scheduler.next_assignment(&queue, &fleet, clock) {
-            let job = queue.remove(qi);
+        while let Some((qi, d)) = scheduler.next_assignment(queue.make_contiguous(), &fleet, clock)
+        {
+            let job = queue
+                .remove(qi)
+                // sx-lint: allow(A002) -- same Scheduler contract as the H003 allow below: the expect is unreachable
+                // sx-lint: allow(H003) -- Scheduler contract: the index is into the slice it was handed; a broken policy fails loudly, as the device index below does
+                .expect("scheduler returned a queue index past the end");
             tenant_depth[job.tenant.index()] -= 1;
             let device = &mut fleet.devices[d];
             debug_assert!(device.is_idle(clock) && device.can_run(job.lps));

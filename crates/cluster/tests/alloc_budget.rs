@@ -157,6 +157,18 @@ fn edf_dispatch_loop_allocates_independently_of_event_count() {
 }
 
 #[test]
+fn affinity_dispatch_loop_allocates_independently_of_event_count() {
+    assert_constant_in_n(&SchedulerSpec::CacheAffinity);
+}
+
+#[test]
+fn spjf_dispatch_loop_allocates_independently_of_event_count() {
+    assert_constant_in_n(&SchedulerSpec::ShortestPredictedFirst {
+        aging_weight: sx_cluster::scheduler::DEFAULT_AGING_WEIGHT,
+    });
+}
+
+#[test]
 fn allocation_count_is_deterministic_run_to_run() {
     warmup();
     let first = allocations_for(&SchedulerSpec::Fifo, 200);

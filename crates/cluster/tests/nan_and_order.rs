@@ -6,9 +6,9 @@
 //!   every ordering in the workspace goes through `f64::total_cmp` (the
 //!   EventKey pattern of `cluster/src/event.rs`), under which NaN is just
 //!   the greatest value.
-//! * **D002 (hash-order dependence)** — the `CostModel` memo is a
-//!   `HashMap`, which is fine *only* because it is never iterated.  The
-//!   order memo entries were inserted in must be invisible to a run.
+//! * **D002 (hash-order dependence)** — the `CostModel` memo fills
+//!   lazily, in whatever order sizes are first asked for.  The order memo
+//!   entries were filled in must be invisible to a run.
 
 use split_exec::SplitExecConfig;
 use sx_cluster::cache::CacheEntry;
@@ -123,9 +123,9 @@ fn cost_aware_eviction_does_not_panic_on_nan_reembed_cost() {
 
 #[test]
 fn cost_model_memo_population_order_is_invisible() {
-    // The per-device CostModel memo is a HashMap that is only ever read by
-    // key (never iterated) — which makes it D002-exempt by design.  Prove
-    // the claim: pre-warm two same-seed fleets' memos in opposite orders,
+    // The per-device CostModel memo is only ever read by key (never
+    // iterated), so its fill order cannot matter.  Prove the claim:
+    // pre-warm two same-seed fleets' memos in opposite orders,
     // run the identical workload through the cost-consulting scheduler,
     // and require bit-identical reports.
     let sizes: Vec<usize> = vec![16, 24, 32, 40, 48];

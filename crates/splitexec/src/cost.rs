@@ -24,9 +24,8 @@ use crate::machine::SplitMachine;
 use crate::stage1::predict_stage1;
 use crate::stage2::predict_stage2;
 use crate::stage3::predict_stage3;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Predicted per-stage costs for one logical problem size, with stage 1
 /// split into its cache-amortizable and always-paid parts.
@@ -70,23 +69,29 @@ impl StageCosts {
 
 /// A memoized analytic cost oracle for one machine/configuration pair.
 ///
-/// Thread-safe: predictions are computed once per logical problem size and
-/// served from an internal table thereafter, so schedulers can query it in
-/// hot loops.
+/// Thread-safe and lock-free: the memo is a dense table with one
+/// [`OnceLock`] slot per logical problem size, sized once at construction
+/// to cover every size up to the machine's physical qubit count (a logical
+/// problem never has more spins than the hardware has qubits).  A size is
+/// predicted on its first query and served from its slot thereafter, so
+/// schedulers can query the oracle in hot loops; a hit is one indexed load.
+/// Sizes past the table are predicted afresh on every query, unmemoized.
 #[derive(Debug)]
 pub struct CostModel {
     machine: SplitMachine,
     config: SplitExecConfig,
-    memo: Mutex<HashMap<usize, StageCosts>>,
+    /// `memo[lps]`: the prediction for `lps` spins, once computed.
+    memo: Box<[OnceLock<StageCosts>]>,
 }
 
 impl CostModel {
     /// A cost model over the given machine and application configuration.
     pub fn new(machine: SplitMachine, config: SplitExecConfig) -> Self {
+        let sizes = machine.qpu.qubits() + 1;
         Self {
+            memo: (0..sizes).map(|_| OnceLock::new()).collect(),
             machine,
             config,
-            memo: Mutex::new(HashMap::new()),
         }
     }
 
@@ -101,12 +106,21 @@ impl CostModel {
     }
 
     /// Predicted per-stage costs for a logical problem of `lps` spins
-    /// (memoized).
+    /// (memoized for every size up to the machine's qubit count; a failed
+    /// prediction is not memoized and is retried on the next query).
     pub fn costs(&self, lps: usize) -> Result<StageCosts, PipelineError> {
-        // sx-lint: allow(A003) -- uncontended: the engine is single-threaded; a parking_lot lock is a few ns
-        if let Some(found) = self.memo.lock().get(&lps) {
+        let Some(slot) = self.memo.get(lps) else {
+            return self.predict_uncached(lps);
+        };
+        if let Some(found) = slot.get() {
             return Ok(*found);
         }
+        let costs = self.predict_uncached(lps)?;
+        Ok(*slot.get_or_init(|| costs))
+    }
+
+    /// The three stage predictions for `lps` spins, computed afresh.
+    fn predict_uncached(&self, lps: usize) -> Result<StageCosts, PipelineError> {
         let stage1 = predict_stage1(&self.machine, lps)?;
         let stage2 = predict_stage2(
             &self.machine,
@@ -119,17 +133,13 @@ impl CostModel {
             self.config.accuracy,
             self.config.success_probability,
         )?;
-        let costs = StageCosts {
+        Ok(StageCosts {
             lps,
             stage1_embed_seconds: stage1.embed_seconds,
             stage1_overhead_seconds: stage1.total_seconds - stage1.embed_seconds,
             stage2_seconds: stage2.total_seconds,
             stage3_seconds: stage3.total_seconds,
-        };
-        // sx-lint: allow(A003) -- uncontended: the engine is single-threaded; a parking_lot lock is a few ns
-        // sx-lint: allow(A001) -- the memo insert happens once per distinct lps; steady state serves hits above
-        self.memo.lock().insert(lps, costs);
-        Ok(costs)
+        })
     }
 
     /// Predicted seconds of the amortizable embedding share alone — what a
@@ -141,13 +151,21 @@ impl CostModel {
 
     /// Number of distinct problem sizes memoized so far.
     pub fn memoized_sizes(&self) -> usize {
-        self.memo.lock().len()
+        self.memo.iter().filter(|slot| slot.get().is_some()).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::QpuModel;
+
+    // Fleets, and the oracles inside them, are built and run on sweep
+    // worker threads; the memo must stay sound under `&self` from any thread.
+    const _: fn() = || {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<CostModel>();
+    };
 
     fn model() -> CostModel {
         CostModel::new(SplitMachine::paper_default(), SplitExecConfig::with_seed(1))
@@ -188,6 +206,37 @@ mod tests {
         assert_eq!(m.memoized_sizes(), 1);
         m.costs(21).unwrap();
         assert_eq!(m.memoized_sizes(), 2);
+    }
+
+    #[test]
+    fn every_size_in_and_past_the_table_matches_a_fresh_prediction() {
+        // The smaller generation keeps the sweep short: its table covers
+        // sizes 0..=512.
+        let machine = || SplitMachine::new(QpuModel::Vesuvius);
+        let config = SplitExecConfig::with_seed(3);
+        let memoized = CostModel::new(machine(), config);
+        let bound = memoized.memo.len();
+        assert_eq!(bound, QpuModel::Vesuvius.qubits() + 1);
+        let mut fresh_ok = 0;
+        for lps in 0..bound + 8 {
+            let fresh = CostModel::new(machine(), config).predict_uncached(lps);
+            fresh_ok += usize::from(fresh.is_ok() && lps < bound);
+            // First query fills the slot, the second is served from it.
+            assert_eq!(memoized.costs(lps), fresh, "lps {lps}, first query");
+            assert_eq!(memoized.costs(lps), fresh, "lps {lps}, memoized query");
+        }
+        // Only successful in-table sizes are memoized.
+        assert_eq!(memoized.memoized_sizes(), fresh_ok);
+        assert!(fresh_ok > 0);
+    }
+
+    #[test]
+    fn sizes_past_the_table_are_not_memoized() {
+        let m = model();
+        let past = m.memo.len();
+        let first = m.costs(past).unwrap();
+        assert_eq!(m.costs(past).unwrap(), first);
+        assert_eq!(m.memoized_sizes(), 0);
     }
 
     #[test]
